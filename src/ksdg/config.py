@@ -1,45 +1,14 @@
 """Run configuration: file format, experiment presets, initial conditions.
 
 A run is described by a UTF-8 text file of ``key = value`` lines grouped
-in bracketed sections::
-
-    [mesh]
-    pattern = mesh1
-    n = 64
-    domain = -0.5 0.5 -0.5 0.5
-
-    [params]
-    k0 = 1.0
-    tau = 1
-    eps = 1e-10
-    dt = 1e-6
-    t_end = 1e-4
-
-    [initial]
-    preset = one_bulge
-    # or explicit initial data:
-    # u0 = gaussian(1000, 100, 0, 0) + gaussian(800, 100, 0, 0.2)
-    # v0 = sinsin(500, 3)
-
-    [output]
-    csv = diagnostics.csv
-    vtk_dir = snapshots
-    snapshot_times = 0 4.4e-5 1e-4
-
-    [newton]
-    tol_residual = 1e-10
-    max_iters = 30
-    damping = backtracking
-
-    [scheme]
-    flux = truncated
-
-Unknown sections or keys, malformed values and violated invariants raise
-``ConfigError`` carrying the offending line number.  A preset fills in
-the experiment defaults (time stepping, initial data, snapshot times);
-explicit keys override it.  Unset values fall back to the model defaults
-(all rate constants 1, ``tau = 1``, ``eps = 1e-10``, the unit square
-centered at the origin).
+in bracketed sections (``#`` starts a comment); ``_SCHEMA`` lists every
+``[section] key`` and the README shows an annotated example.  All keys
+are optional.  Unknown sections or keys, repeated keys, malformed values
+and violated invariants raise ``ConfigError`` carrying the line of the
+offending key.  A preset fills in the experiment defaults (time stepping,
+initial data, snapshot times); explicit keys override it.  Unset values
+fall back to the model defaults (all rate constants 1, ``tau = 1``,
+``eps = 1e-10``, the unit square centered at the origin).
 
 Initial data are sums of closed-form terms:
 
@@ -134,7 +103,8 @@ def parse_terms(text, line=None):
     if text == "zero" or text == "":
         return ()
     terms = []
-    for piece in text.split("+"):
+    # a "+" inside parentheses belongs to a number such as 1e+20
+    for piece in re.split(r"(?<=\))\s*\+", text):
         m = _TERM_RE.match(piece)
         if not m:
             raise ConfigError("cannot parse initial-condition term %r"
@@ -158,6 +128,7 @@ def parse_terms(text, line=None):
 
 
 def format_terms(terms):
+    """Text that ``parse_terms`` reads back as ``terms``."""
     if not terms:
         return "zero"
     return " + ".join(t.format() for t in terms)
@@ -241,10 +212,26 @@ class RunConfig:
             if not 0.0 <= t <= self.params.t_end:
                 raise ConfigError("snapshot time %g outside [0, t_end=%g]"
                                   % (t, self.params.t_end))
+        # a path must survive a round trip through a config line
+        for name in ("csv_path", "vtk_dir"):
+            path = getattr(self, name)
+            if path is not None and ("#" in path or path != path.strip()
+                                     or len(path.splitlines()) > 1):
+                raise ConfigError("%s must not contain '#' or line breaks "
+                                  "nor start or end with whitespace, got %r"
+                                  % (name, path))
 
 
 def build_mesh(cfg):
     return build_structured_mesh(cfg.pattern, cfg.n, cfg.domain)
+
+
+def _sample(u0_terms, v0_terms, mesh):
+    # cell densities at barycenters, vertex fields at vertices
+    u0 = evaluate_terms(u0_terms, mesh.barycenters[:, 0],
+                        mesh.barycenters[:, 1])
+    v0 = evaluate_terms(v0_terms, mesh.vertices[:, 0], mesh.vertices[:, 1])
+    return u0, v0
 
 
 def preset_initial_conditions(name, mesh):
@@ -255,59 +242,103 @@ def preset_initial_conditions(name, mesh):
     chemoattractant data (its elliptic step never reads it); a zero field
     is returned with a warning.
     """
-    if name not in _PRESETS:
-        raise ConfigError("unknown preset %r; choose from %s"
-                          % (name, ", ".join(PRESET_NAMES)))
+    RunConfig(preset=name)  # rejects an unknown name
     preset = _PRESETS[name]
-    u0 = evaluate_terms(preset["u0"], mesh.barycenters[:, 0],
-                        mesh.barycenters[:, 1])
     if not preset["v0"]:
         warnings.warn("preset %r defines no chemoattractant data; using a "
                       "zero field (the elliptic step never reads it)" % name)
-        v0 = np.zeros(mesh.n_vertices)
-    else:
-        v0 = evaluate_terms(preset["v0"], mesh.vertices[:, 0],
-                            mesh.vertices[:, 1])
-    return u0, v0
+    return _sample(preset["u0"], preset["v0"], mesh)
 
 
 def initial_fields(cfg, mesh):
     """Sample the configured initial data on a mesh."""
-    u0 = evaluate_terms(cfg.u0_terms, mesh.barycenters[:, 0],
-                        mesh.barycenters[:, 1])
+    v0_terms = cfg.v0_terms
     if cfg.params.tau == 0:
-        if cfg.v0_terms:
+        if v0_terms:
             warnings.warn("tau = 0: the chemoattractant history is never "
                           "read; ignoring the configured v0")
-        v0 = np.zeros(mesh.n_vertices)
-    else:
-        v0 = evaluate_terms(cfg.v0_terms, mesh.vertices[:, 0],
-                            mesh.vertices[:, 1])
-    return u0, v0
+        v0_terms = ()
+    return _sample(cfg.u0_terms, v0_terms, mesh)
 
 
-# -- parsing ----------------------------------------------------------------
+# -- file format --------------------------------------------------------------
 
-_SECTIONS = {
-    "mesh": ("pattern", "n", "domain"),
-    "params": ("k0", "k1", "k2", "k3", "k4", "tau", "eps", "dt", "t_end"),
-    "initial": ("preset", "u0", "v0"),
-    "output": ("csv", "vtk_dir", "snapshot_times"),
-    "newton": ("tol_residual", "max_iters", "damping", "max_halvings"),
-    "scheme": ("flux",),
-}
+def _scalar(convert, noun):
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError("expects %s, got %r" % (noun, text)) from None
+    return parse
+
+
+_float = _scalar(float, "a number")
+_int = _scalar(int, "an integer")
+
+
+def _floats(text):
+    return tuple(_float(part) for part in text.split())
+
+
+def _domain(text):
+    values = _floats(text)
+    if len(values) != 4:
+        raise ValueError("expects 4 numbers (xmin xmax ymin ymax)")
+    return values
+
+
+_g = "%.17g".__mod__
+_d = "%d".__mod__
+
+
+def _gs(values):
+    return " ".join(map(_g, values))
+
+
+#: Every key of the file format, in file order:
+#: ``(section, key, owner, attribute, parse, format)``.  ``owner`` names
+#: the ``RunConfig`` field holding the attribute (None: the RunConfig
+#: itself); ``parse`` raises ``ValueError`` on malformed text.
+_SCHEMA = (
+    ("mesh", "pattern", None, "pattern", str.lower, str),
+    ("mesh", "n", None, "n", _int, _d),
+    ("mesh", "domain", None, "domain", _domain, _gs),
+    ("params", "k0", "params", "k0", _float, _g),
+    ("params", "k1", "params", "k1", _float, _g),
+    ("params", "k2", "params", "k2", _float, _g),
+    ("params", "k3", "params", "k3", _float, _g),
+    ("params", "k4", "params", "k4", _float, _g),
+    ("params", "tau", "params", "tau", _int, _d),
+    ("params", "eps", "params", "eps", _float, _g),
+    ("params", "dt", "params", "dt", _float, _g),
+    ("params", "t_end", "params", "t_end", _float, _g),
+    ("initial", "preset", None, "preset", str, str),
+    ("initial", "u0", None, "u0_terms", parse_terms, format_terms),
+    ("initial", "v0", None, "v0_terms", parse_terms, format_terms),
+    ("output", "csv", None, "csv_path", str, str),
+    ("output", "vtk_dir", None, "vtk_dir", str, str),
+    ("output", "snapshot_times", None, "snapshot_times", _floats, _gs),
+    ("newton", "tol_residual", "newton", "tol_residual", _float, _g),
+    ("newton", "max_iters", "newton", "max_iters", _int, _d),
+    ("newton", "damping", "newton", "damping", str, str),
+    ("newton", "max_halvings", "newton", "max_halvings", _int, _d),
+    ("scheme", "flux", None, "flux", str, str),
+)
+
+_ROWS = {(row[0], row[1]): row for row in _SCHEMA}
 
 
 def _scan(text):
-    """Yield (section, key, value, line) tuples; syntax errors only."""
+    """Yield (schema row, value text, line) per key; syntax errors only."""
     section = None
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if not any(s == section for s, _ in _ROWS):
                 raise ConfigError("unknown section [%s]" % section, lineno)
             continue
         if "=" not in line:
@@ -317,171 +348,68 @@ def _scan(text):
             raise ConfigError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _SECTIONS[section]:
+        if (section, key) not in _ROWS:
             raise ConfigError("unknown key %r in section [%s]"
                               % (key, section), lineno)
-        yield section, key, value, lineno
+        if (section, key) in seen:
+            raise ConfigError("repeated key %r in section [%s] (first set on "
+                              "line %d)" % (key, section, seen[section, key]),
+                              lineno)
+        seen[section, key] = lineno
+        yield _ROWS[section, key], value, lineno
 
 
-def _to_float(value, key, line):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError("%s expects a number, got %r" % (key, value),
-                          line) from None
-
-
-def _to_int(value, key, line):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError("%s expects an integer, got %r" % (key, value),
-                          line) from None
+def _build(cls, base, given):
+    """``cls(**base)`` with the ``(attribute, value, line)`` triples of
+    ``given`` applied in file order; the first value the class rejects
+    raises ``ConfigError`` with its line."""
+    # every check of the three classes reads one field (the snapshot check
+    # reads the finished params), so the first rejection names the culprit
+    kwargs = dict(base)
+    for attr, value, line in given:
+        kwargs[attr] = value
+        try:
+            cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line) from None
+    return cls(**kwargs)
 
 
 def load_config(text):
     """Parse configuration text into a validated ``RunConfig``."""
-    entries = {}
-    for section, key, value, line in _scan(text):
-        entries[(section, key)] = (value, line)
+    given = {None: [], "params": [], "newton": []}
+    for (_, key, owner, attr, parse, _), value, line in _scan(text):
+        try:
+            given[owner].append((attr, parse(value), line))
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (key, exc), line) from None
 
-    def take(section, key):
-        return entries.pop((section, key), (None, None))
-
-    # preset defaults first; explicit keys override below
-    preset, preset_line = take("initial", "preset")
-    param_kw = {}
-    cfg_kw = {}
-    if preset is not None:
-        if preset not in _PRESETS:
-            raise ConfigError("unknown preset %r; choose from %s"
-                              % (preset, ", ".join(PRESET_NAMES)), preset_line)
-        chosen = _PRESETS[preset]
-        param_kw.update(tau=chosen["tau"], dt=chosen["dt"],
-                        t_end=chosen["t_end"])
-        cfg_kw.update(u0_terms=chosen["u0"], v0_terms=chosen["v0"],
-                      snapshot_times=chosen["snapshot_times"])
-
-    value, line = take("mesh", "pattern")
-    if value is not None:
-        cfg_kw["pattern"] = value.lower()
-    value, line = take("mesh", "n")
-    if value is not None:
-        cfg_kw["n"] = _to_int(value, "n", line)
-    value, line = take("mesh", "domain")
-    if value is not None:
-        parts = value.split()
-        if len(parts) != 4:
-            raise ConfigError("domain expects 4 numbers "
-                              "(xmin xmax ymin ymax)", line)
-        cfg_kw["domain"] = tuple(_to_float(p, "domain", line) for p in parts)
-
-    for key in ("k0", "k1", "k2", "k3", "k4", "eps", "dt", "t_end"):
-        value, line = take("params", key)
-        if value is not None:
-            param_kw[key] = _to_float(value, key, line)
-    value, tau_line = take("params", "tau")
-    if value is not None:
-        param_kw["tau"] = _to_int(value, "tau", tau_line)
-    try:
-        params = ModelParams(**param_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), tau_line) from None
-    cfg_kw["params"] = params
-
-    for key, attr in (("u0", "u0_terms"), ("v0", "v0_terms")):
-        value, line = take("initial", key)
-        if value is not None:
-            cfg_kw[attr] = parse_terms(value, line)
-
-    value, line = take("output", "csv")
-    if value is not None:
-        cfg_kw["csv_path"] = value
-    value, line = take("output", "vtk_dir")
-    if value is not None:
-        cfg_kw["vtk_dir"] = value
-    value, line = take("output", "snapshot_times")
-    if value is not None:
-        cfg_kw["snapshot_times"] = tuple(
-            _to_float(p, "snapshot_times", line) for p in value.split())
-    elif preset is not None:
-        # preset-inherited snapshot times adapt to an overridden horizon
-        cfg_kw["snapshot_times"] = tuple(
-            t for t in cfg_kw["snapshot_times"] if t <= params.t_end)
-
-    newton_kw = {}
-    value, line = take("newton", "tol_residual")
-    if value is not None:
-        newton_kw["tol_residual"] = _to_float(value, "tol_residual", line)
-    value, line = take("newton", "max_iters")
-    if value is not None:
-        newton_kw["max_iters"] = _to_int(value, "max_iters", line)
-    value, line = take("newton", "max_halvings")
-    if value is not None:
-        newton_kw["max_halvings"] = _to_int(value, "max_halvings", line)
-    value, nline = take("newton", "damping")
-    if value is not None:
-        newton_kw["damping"] = value
-    try:
-        newton = NewtonSettings(**newton_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), nline) from None
-    cfg_kw["newton"] = newton
-
-    value, line = take("scheme", "flux")
-    if value is not None:
-        if value not in _FLUX_CHOICES:
-            raise ConfigError("flux must be 'truncated' or 'non_truncated', "
-                              "got %r" % value, line)
-        cfg_kw["flux"] = value
-
-    assert not entries
-    return RunConfig(preset=preset, **cfg_kw)
+    # a preset supplies defaults for the schema keys it names
+    preset = dict((a, v) for a, v, _ in given[None]).get("preset")
+    defaults = _PRESETS.get(preset, {})
+    base = {owner: {} for owner in given}
+    for _, key, owner, attr, _, _ in _SCHEMA:
+        if key in defaults:
+            base[owner][attr] = defaults[key]
+    params = _build(ModelParams, base["params"], given["params"])
+    newton = _build(NewtonSettings, base["newton"], given["newton"])
+    # preset snapshot times adapt to an overridden horizon
+    base[None]["snapshot_times"] = tuple(
+        t for t in base[None].get("snapshot_times", ()) if t <= params.t_end)
+    return _build(RunConfig, dict(base[None], params=params, newton=newton),
+                  given[None])
 
 
 def dumps_config(cfg):
     """Serialize a RunConfig; ``load_config`` of the result reproduces it."""
-    p = cfg.params
-    lines = [
-        "[mesh]",
-        "pattern = %s" % cfg.pattern,
-        "n = %d" % cfg.n,
-        "domain = %.17g %.17g %.17g %.17g" % cfg.domain,
-        "",
-        "[params]",
-    ]
-    for key in ("k0", "k1", "k2", "k3", "k4"):
-        lines.append("%s = %.17g" % (key, getattr(p, key)))
-    lines += [
-        "tau = %d" % p.tau,
-        "eps = %.17g" % p.eps,
-        "dt = %.17g" % p.dt,
-        "t_end = %.17g" % p.t_end,
-        "",
-        "[initial]",
-    ]
-    if cfg.preset is not None:
-        lines.append("preset = %s" % cfg.preset)
-    lines.append("u0 = %s" % format_terms(cfg.u0_terms))
-    lines.append("v0 = %s" % format_terms(cfg.v0_terms))
-    lines += ["", "[output]"]
-    if cfg.csv_path is not None:
-        lines.append("csv = %s" % cfg.csv_path)
-    if cfg.vtk_dir is not None:
-        lines.append("vtk_dir = %s" % cfg.vtk_dir)
-    lines.append("snapshot_times = %s"
-                 % " ".join("%.17g" % t for t in cfg.snapshot_times))
-    n = cfg.newton
-    lines += [
-        "",
-        "[newton]",
-        "tol_residual = %.17g" % n.tol_residual,
-        "max_iters = %d" % n.max_iters,
-        "damping = %s" % n.damping,
-        "max_halvings = %d" % n.max_halvings,
-        "",
-        "[scheme]",
-        "flux = %s" % cfg.flux,
-        "",
-    ]
-    return "\n".join(lines)
+    lines = []
+    section = None
+    for sec, key, owner, attr, _, fmt in _SCHEMA:
+        value = getattr(getattr(cfg, owner) if owner else cfg, attr)
+        if value is None:
+            continue
+        if sec != section:
+            lines += ["", "[%s]" % sec] if lines else ["[%s]" % sec]
+            section = sec
+        lines.append("%s = %s" % (key, fmt(value)))
+    return "\n".join(lines) + "\n"

@@ -189,8 +189,6 @@ class TriMesh:
         self.bedge_lengths = blen
         self.bedge_normals = bnrm
 
-        self._pair_to_edge = {tuple(pair): i for i, pair in enumerate(ev)}
-        self._boundary_pairs = {tuple(pair) for pair in bv}
         all_lengths = np.concatenate((lengths, blen))
         self.h = float(all_lengths.max()) if all_lengths.size else 0.0
 
@@ -221,6 +219,16 @@ class TriMesh:
                 % (pat, self.n_vertices, self.n_cells, self.n_interior_edges))
 
 
+def _find_pair(pairs, n_vertices, pair):
+    """Row of the lexicographically sorted ``pairs`` equal to ``pair``."""
+    if len(pair) != 2 or not 0 <= pair[0] <= pair[1] < n_vertices:
+        return None
+    keys = pairs[:, 0] * n_vertices + pairs[:, 1]
+    key = pair[0] * n_vertices + pair[1]
+    i = int(np.searchsorted(keys, key))
+    return i if i < len(keys) and keys[i] == key else None
+
+
 def _resolve_interior_edge(mesh, edge):
     """Map an interior edge index or a vertex pair to the edge index."""
     if isinstance(edge, (int, np.integer)):
@@ -231,9 +239,10 @@ def _resolve_interior_edge(mesh, edge):
                 % (i, mesh.n_interior_edges))
         return i
     pair = tuple(sorted(int(v) for v in edge))
-    if pair in mesh._pair_to_edge:
-        return mesh._pair_to_edge[pair]
-    if pair in mesh._boundary_pairs:
+    i = _find_pair(mesh.edge_vertices, mesh.n_vertices, pair)
+    if i is not None:
+        return i
+    if _find_pair(mesh.bedge_vertices, mesh.n_vertices, pair) is not None:
         raise MeshError(
             "edge %r is a boundary edge; it has no neighbor pair" % (pair,))
     raise MeshError("no edge with vertex pair %r" % (pair,))

@@ -198,8 +198,7 @@ def _make_row(mesh, state, params, law, iters, residual, u_clamp, v_clamp):
     )
 
 
-def simulate(mesh, params, u0, v0=None, newton=None, truncated=True,
-             v_method="direct"):
+def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
     """Generate ``(state, diagnostics_row)`` pairs for a whole run.
 
     The first yield is the initial state (step 0); each later yield is
@@ -241,7 +240,7 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True,
         t = m * params.dt
         try:
             v_new = solve_v_step(system, state.v if params.tau else None,
-                                 state.u, method=v_method)
+                                 state.u)
         except Exception as exc:
             raise StepFailureError("chemoattractant solve failed at step "
                                    "%d (t=%g): %s" % (m, t, exc), m, t,

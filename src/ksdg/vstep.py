@@ -24,11 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .fields import _check_cellfield, _check_nodefield, _lambda_gradients
 
-#: Relative residual the solve must reach, checked on every path.
+#: Relative residual the solve must reach, checked after every solve.
 RESIDUAL_RTOL = 1e-12
-
-#: Vertex counts below this are small enough for the dense solver.
-DENSE_LIMIT = 2000
 
 
 class LinearSolveError(RuntimeError):
@@ -62,7 +59,6 @@ class VStepSystem:
         self.matrix = (params.k2 * self.stiffness
                        + sp.diags(coef * self.lumped_mass)).tocsr()
         self._lu = None
-        self._jacobi = None
 
     def _factorized(self):
         if self._lu is None:
@@ -97,7 +93,7 @@ def assemble_v_system(mesh, params):
     return VStepSystem(mesh, params)
 
 
-def solve_v_step(system, v_prev, u_prev, params=None, method="direct"):
+def solve_v_step(system, v_prev, u_prev, params=None):
     """Advance the chemoattractant field by one time step.
 
     Parameters
@@ -110,14 +106,11 @@ def solve_v_step(system, v_prev, u_prev, params=None, method="direct"):
         Current cell density.
     params : ModelParams, optional
         Must match the parameters the system was assembled with.
-    method : {"direct", "cg", "dense"}
-        ``direct`` is a cached sparse factorization with one step of
-        iterative refinement; ``cg`` is a Jacobi-preconditioned conjugate
-        gradient; ``dense`` is a plain dense solve, intended as an
-        independent check on small meshes.
 
-    The returned field satisfies ``norm(A v - rhs) <= 1e-12 norm(rhs)``
-    on every path, otherwise ``LinearSolveError`` is raised.
+    The solve uses the system's cached sparse factorization with one step
+    of iterative refinement.  The returned field satisfies
+    ``norm(A v - rhs) <= 1e-12 norm(rhs)``, otherwise ``LinearSolveError``
+    is raised.
     """
     mesh = system.mesh
     if params is None:
@@ -135,24 +128,9 @@ def solve_v_step(system, v_prev, u_prev, params=None, method="direct"):
         rhs = rhs + (params.tau / params.dt) * system.lumped_mass * v_prev
 
     a = system.matrix
-    if method == "direct":
-        lu = system._factorized()
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - a @ x)
-    elif method == "dense":
-        x = np.linalg.solve(a.toarray(), rhs)
-    elif method == "cg":
-        if system._jacobi is None:
-            system._jacobi = sp.diags(1.0 / a.diagonal())
-        x, info = spla.cg(a, rhs, rtol=RESIDUAL_RTOL, atol=0.0,
-                          maxiter=max(1000, 20 * mesh.n_vertices),
-                          M=system._jacobi)
-        if info != 0:
-            raise LinearSolveError(
-                "conjugate gradient did not converge (info=%d, residual=%g)"
-                % (info, float(np.linalg.norm(rhs - a @ x))))
-    else:
-        raise ValueError("unknown method %r" % (method,))
+    lu = system._factorized()
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - a @ x)
 
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(rhs - a @ x))

@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from ksdg import (ConfigError, PRESET_NAMES, RunConfig, build_structured_mesh,
-                  dumps_config, evaluate_terms, initial_fields,
-                  integrate_cellfield, load_config, preset_initial_conditions)
+from ksdg import (ConfigError, PRESET_NAMES, ModelParams, NewtonSettings,
+                  RunConfig, build_structured_mesh, dumps_config,
+                  evaluate_terms, initial_fields, integrate_cellfield,
+                  load_config, preset_initial_conditions)
 from ksdg.config import (CosCosTerm, GaussianTerm, SinSinTerm, format_terms,
                          parse_terms)
 
@@ -89,6 +94,79 @@ class TestParsing:
         with pytest.raises(ConfigError):
             RunConfig(snapshot_times=(2.0,))
 
+    @pytest.mark.parametrize("text,line", [
+        ("[params]\nk0 = -1\n", 2),
+        ("[params]\ntau = 1\nk0 = -1\n", 3),
+        ("[newton]\nmax_iters = 0\ndamping = none\n", 2),
+        ("[mesh]\npattern = hexes\n", 2),
+        ("[mesh]\nn = 0\n", 2),
+        ("[params]\nt_end = 1e-5\n[output]\nsnapshot_times = 0 1e-3\n", 4),
+        ("[initial]\npreset = one_bulge\n[newton]\ndamping = wild\n", 4),
+    ])
+    def test_invalid_value_reports_its_line(self, text, line):
+        with pytest.raises(ConfigError) as info:
+            load_config(text)
+        assert info.value.line == line
+
+    def test_repeated_key_rejected_at_second_occurrence(self):
+        with pytest.raises(ConfigError, match="line 3: repeated key 'n'"):
+            load_config("[mesh]\nn = 4\nn = 8\n")
+
+    @pytest.mark.parametrize("path", ["out#1.csv", " out", "out ", "a\nb",
+                                      "a\rb"])
+    def test_paths_that_cannot_round_trip_rejected(self, path):
+        with pytest.raises(ConfigError, match="csv_path"):
+            RunConfig(csv_path=path)
+        with pytest.raises(ConfigError, match="vtk_dir"):
+            RunConfig(vtk_dir=path)
+
+    def test_readme_example_names_every_key(self):
+        from ksdg.config import _SCHEMA, _scan
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S).group(1)
+        load_config(block)
+        named = {(row[0], row[1]) for row, _, _ in _scan(block)}
+        assert named == {(row[0], row[1]) for row in _SCHEMA}
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_number = st.floats(allow_nan=False)
+_terms = st.lists(st.one_of(
+    st.builds(GaussianTerm, _number, _number, _number, _number),
+    st.builds(CosCosTerm, _number, _number),
+    st.builds(SinSinTerm, _number, _number)), max_size=3).map(tuple)
+_path = st.none() | st.text(max_size=12).filter(
+    lambda p: "#" not in p and p == p.strip() and len(p.splitlines()) <= 1)
+
+
+@st.composite
+def run_configs(draw):
+    params = draw(st.builds(
+        ModelParams, k0=_positive, k1=_positive, k2=_positive, k3=_positive,
+        k4=_positive, tau=st.sampled_from([0, 1]), eps=_positive,
+        dt=_positive, t_end=_positive))
+    newton = draw(st.builds(
+        NewtonSettings, tol_residual=_positive,
+        max_iters=st.integers(min_value=1),
+        damping=st.sampled_from(["backtracking", "none"]),
+        max_halvings=st.integers(min_value=0)))
+    times = st.floats(min_value=0.0, max_value=params.t_end)
+    return RunConfig(
+        pattern=draw(st.sampled_from(["mesh1", "mesh2"])),
+        n=draw(st.integers(min_value=1)),
+        domain=draw(st.tuples(_number, _number, _number, _number)),
+        params=params,
+        preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
+        u0_terms=draw(_terms),
+        v0_terms=draw(_terms),
+        csv_path=draw(_path),
+        vtk_dir=draw(_path),
+        snapshot_times=tuple(draw(st.lists(times, max_size=4))),
+        newton=newton,
+        flux=draw(st.sampled_from(["truncated", "non_truncated"])))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [
@@ -103,6 +181,12 @@ class TestRoundTrip:
     ])
     def test_serialize_parse_identity(self, text):
         cfg = load_config(text)
+        assert load_config(dumps_config(cfg)) == cfg
+
+    # an exponent such as 1e+20 puts a "+" inside a term
+    @example(RunConfig(u0_terms=(GaussianTerm(1e20, 1.0, 0.0, 0.0),)))
+    @given(run_configs())
+    def test_any_valid_config_survives_dumps_and_load(self, cfg):
         assert load_config(dumps_config(cfg)) == cfg
 
 

@@ -37,7 +37,11 @@ class TestJump:
                                                 (3.0, 3.0, 0.0),
                                                 (0.0, 1.25, -1.25)])
     def test_examples(self, two_cell_mesh, uk, ul, expected):
-        assert jump(two_cell_mesh, np.array([uk, ul]), 0) == expected
+        u = np.array([uk, ul])
+        assert jump(two_cell_mesh, u, 0) == expected
+        pair = tuple(two_cell_mesh.edge_vertices[0])
+        assert jump(two_cell_mesh, u, pair) == expected
+        assert jump(two_cell_mesh, u, pair[::-1]) == expected
 
     def test_antisymmetric_under_swapping_values(self, two_cell_mesh):
         u = np.array([1.7, -0.4])
@@ -52,6 +56,13 @@ class TestJump:
     def test_boundary_edge_rejected(self, two_cell_mesh):
         pair = tuple(two_cell_mesh.bedge_vertices[0])
         with pytest.raises(MeshError, match="boundary"):
+            jump(two_cell_mesh, np.array([1.0, 2.0]), pair)
+
+    # (1, 3) is the other diagonal; (-1, 6) shares the scalar key
+    # -1*4 + 6 with the edge (0, 2)
+    @pytest.mark.parametrize("pair", [(1, 3), (-1, 6)])
+    def test_missing_pair_rejected(self, two_cell_mesh, pair):
+        with pytest.raises(MeshError, match="no edge with vertex pair"):
             jump(two_cell_mesh, np.array([1.0, 2.0]), pair)
 
     def test_wrong_length_rejected(self, two_cell_mesh):

@@ -130,6 +130,16 @@ class TestEdgeData:
         d0 = edge_distance(mesh, 0)
         pair = tuple(mesh.edge_vertices[0])
         assert edge_distance(mesh, pair) == d0
+        assert edge_distance(mesh, pair[::-1]) == d0
+
+    # the corner diagonals cross at the center vertex 4, so they are no
+    # edges; (0, 9) shares the scalar key 0*5 + 9 with the edge (1, 4)
+    @pytest.mark.parametrize("pair", [(0, 3), (2, 1), (0, 9), (4, 4)])
+    def test_edge_distance_missing_pair_rejected(self, pair):
+        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        assert [1, 4] in mesh.edge_vertices.tolist()
+        with pytest.raises(MeshError, match="no edge with vertex pair"):
+            edge_distance(mesh, pair)
 
     def test_edge_distance_boundary_pair_rejected(self):
         mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))

@@ -27,6 +27,14 @@ def hand_crisscross_matrices(mesh):
     return s, ml
 
 
+def _dense_oracle(system, v, u):
+    """Plain dense solve of the step, independent of the sparse path."""
+    p = system.params
+    rhs = (p.k4 * (system.load_matrix @ u)
+           + (p.tau / p.dt) * system.lumped_mass * v)
+    return np.linalg.solve(system.matrix.toarray(), rhs)
+
+
 class TestAssembly:
     def test_lumped_mass_crisscross(self, crisscross_unit):
         _, ml = hand_crisscross_matrices(crisscross_unit)
@@ -119,19 +127,17 @@ class TestSolve:
         system = assemble_v_system(mesh, params)
         u = rng.uniform(0, 1000, mesh.n_cells)
         v = rng.uniform(0, 500, mesh.n_vertices)
-        dense = solve_v_step(system, v, u, method="dense")
-        for method in ("direct", "cg"):
-            got = solve_v_step(system, v, u, method=method)
-            assert np.max(np.abs(got - dense)) <= 1e-10 * (1 + np.max(np.abs(dense)))
+        got = solve_v_step(system, v, u)
+        dense = _dense_oracle(system, v, u)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * (1 + np.max(np.abs(dense)))
 
-    @pytest.mark.parametrize("method", ["direct", "cg", "dense"])
-    def test_residual_contract(self, rng, method):
+    def test_residual_contract(self, rng):
         mesh = build_structured_mesh("mesh2", 5)
         params = ModelParams(dt=1e-4)
         system = assemble_v_system(mesh, params)
         u = rng.uniform(0, 10, mesh.n_cells)
         v = rng.uniform(0, 10, mesh.n_vertices)
-        x = solve_v_step(system, v, u, method=method)
+        x = solve_v_step(system, v, u)
         rhs = (params.k4 * (system.load_matrix @ u)
                + (params.tau / params.dt) * system.lumped_mass * v)
         res = np.linalg.norm(rhs - system.matrix @ x)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ModelParams
-from .mesh import build_structured_mesh
+from .mesh import MeshError, build_structured_mesh, square_tiling
 from .ustep import NewtonSettings
 
 PRESET_NAMES = ("one_bulge", "three_bulges", "multi_peak")
@@ -200,8 +200,10 @@ class RunConfig:
         if self.pattern not in ("mesh1", "mesh2"):
             raise ConfigError("pattern must be 'mesh1' or 'mesh2', got %r"
                               % (self.pattern,))
-        if self.n < 1:
-            raise ConfigError("n must be at least 1, got %d" % self.n)
+        try:
+            square_tiling(self.pattern, self.n, self.domain)
+        except MeshError as exc:
+            raise ConfigError(str(exc)) from None
         if self.preset is not None and self.preset not in PRESET_NAMES:
             raise ConfigError("unknown preset %r; choose from %s"
                               % (self.preset, ", ".join(PRESET_NAMES)))
@@ -361,18 +363,23 @@ def _scan(text):
 
 def _build(cls, base, given):
     """``cls(**base)`` with the ``(attribute, value, line)`` triples of
-    ``given`` applied in file order; the first value the class rejects
-    raises ``ConfigError`` with its line."""
-    # every check of the three classes reads one field (the snapshot check
-    # reads the finished params), so the first rejection names the culprit
-    kwargs = dict(base)
-    for attr, value, line in given:
-        kwargs[attr] = value
+    ``given`` applied.  If the class rejects them, ``ConfigError`` names
+    the line of the first value after the longest accepted prefix of
+    ``given`` (in file order)."""
+    # A check that reads several fields (the step count, the mesh tiling)
+    # can reject a prefix that a later line completes, so the search runs
+    # back from the complete set rather than forward.
+    error = None
+    for end in range(len(given), -1, -1):
         try:
-            cls(**kwargs)
+            built = cls(**dict(base, **{a: v for a, v, _ in given[:end]}))
         except ValueError as exc:
-            raise ConfigError(str(exc), line) from None
-    return cls(**kwargs)
+            error = exc
+            continue
+        if error is None:
+            return built
+        raise ConfigError(str(error), given[end][2]) from None
+    raise ConfigError(str(error)) from None
 
 
 def load_config(text):

@@ -26,11 +26,12 @@ class ModelParams:
     """Model and discretization parameters.
 
     ``k0`` cell diffusion, ``k1`` chemotactic sensitivity, ``k2``
-    chemoattractant diffusion, ``k3`` degradation, ``k4`` production; all
-    strictly positive.  ``tau`` selects the parabolic (1) or elliptic (0)
-    chemoattractant equation.  ``eps`` regularizes the logarithm in the
-    chemical potential, ``dt`` is the time step and ``t_end`` the final
-    time.
+    chemoattractant diffusion, ``k3`` degradation, ``k4`` production.
+    ``tau`` selects the parabolic (1) or elliptic (0) chemoattractant
+    equation.  ``eps`` regularizes the logarithm in the chemical
+    potential, ``dt`` is the time step and ``t_end`` the final time, a
+    whole number of steps (to a relative ``1e-9``).  All values but
+    ``tau`` are positive and finite.
     """
 
     k0: float = 1.0
@@ -44,18 +45,17 @@ class ModelParams:
     t_end: float = 1e-4
 
     def __post_init__(self):
-        for name in ("k0", "k1", "k2", "k3", "k4"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError("%s must be positive, got %r"
+        for name in ("k0", "k1", "k2", "k3", "k4", "eps", "dt", "t_end"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError("%s must be positive and finite, got %r"
                                  % (name, getattr(self, name)))
         if self.tau not in (0, 1):
             raise ValueError("tau must be 0 or 1, got %r" % (self.tau,))
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive, got %r" % (self.eps,))
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive, got %r" % (self.dt,))
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive, got %r" % (self.t_end,))
+        steps = self.t_end / self.dt
+        n = round(steps) if steps < np.inf else 0
+        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError("t_end = %r is not a whole number of time "
+                             "steps of dt = %r" % (self.t_end, self.dt))
 
 
 def pos_part(x):
@@ -127,27 +127,11 @@ def integrate_cellfield(mesh, values):
     return float(np.dot(mesh.areas, values))
 
 
-def _lambda_gradients(mesh):
-    """Gradients of the three barycentric basis functions, per triangle.
-
-    Returns an ``(nt, 3, 2)`` array; for counterclockwise triangle
-    ``(p0, p1, p2)`` the gradient of the function that is 1 at ``p_a`` is
-    the opposite edge rotated by 90 degrees divided by twice the area.
-    """
-    p = mesh.vertices[mesh.triangles]
-    opp = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    grads = np.empty_like(opp)
-    grads[:, :, 0] = -opp[:, :, 1]
-    grads[:, :, 1] = opp[:, :, 0]
-    grads /= (2.0 * mesh.areas)[:, None, None]
-    return grads
-
-
 def p1_gradients(mesh, values):
     """Constant per-cell gradient of a vertex field, shape ``(nt, 2)``."""
     values = _check_nodefield(mesh, values)
-    grads = _lambda_gradients(mesh)
-    return np.einsum("ta,tax->tx", values[mesh.triangles], grads)
+    return np.einsum("ta,tax->tx", values[mesh.triangles],
+                     mesh.lambda_gradients)
 
 
 def p1_integral(mesh, values):

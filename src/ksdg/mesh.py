@@ -73,6 +73,8 @@ class TriMesh:
         cell index and the unit normal points from K toward L.
     edge_lengths, edge_dists : (ne,) float
         Edge length and the distance between the two barycenters.
+    edge_weights : (ne,) float
+        ``edge_lengths / edge_dists``, the weight of each upwind flux.
     edge_normals : (ne, 2) float
         Unit normal per interior edge, oriented K -> L.
     bedge_vertices, bedge_cell, bedge_lengths, bedge_normals
@@ -80,6 +82,9 @@ class TriMesh:
     vertex_areas : (nv,) float
         Lumped vertex weights: one third of the total area of the
         incident triangles.  They sum to the domain area.
+    lambda_gradients : (nt, 3, 2) float
+        Constant gradient of each triangle's three barycentric basis
+        functions, in the order of the triangle's vertices.
     h : float
         Mesh size (longest edge).
 
@@ -94,11 +99,10 @@ class TriMesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if triangles.size and (triangles.min() < 0
-                               or triangles.max() >= len(vertices)):
-            raise MeshError("triangle vertex index out of range")
         if len(triangles) == 0:
             raise MeshError("mesh needs at least one triangle")
+        if triangles.min() < 0 or triangles.max() >= len(vertices):
+            raise MeshError("triangle vertex index out of range")
 
         # Uniform counterclockwise orientation.
         p0 = vertices[triangles[:, 0]]
@@ -113,84 +117,71 @@ class TriMesh:
         if np.any(areas <= 1e-14 * extent ** 2):
             raise MeshError("degenerate (zero-area) triangle in mesh")
 
+        p = vertices[triangles]
+        # the gradient of the basis function of corner a is the opposite
+        # side rotated by 90 degrees over twice the area
+        opp = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        grads = np.stack((-opp[:, :, 1], opp[:, :, 0]), axis=2)
+        grads /= (2.0 * areas)[:, None, None]
+
         self.vertices = vertices
         self.triangles = triangles
         self.pattern = None if pattern is None else _normalize_pattern(pattern)
         self.square_side = None if square_side is None else float(square_side)
         self.areas = areas
-        self.barycenters = vertices[triangles].mean(axis=1)
+        self.barycenters = p.mean(axis=1)
         self.vertex_areas = np.bincount(
             triangles.ravel(), weights=np.repeat(areas / 3.0, 3),
             minlength=len(vertices))
+        self.lambda_gradients = grads
         self._build_edges()
 
     # -- connectivity ----------------------------------------------------
 
     def _build_edges(self):
-        incidence = {}
-        for cell, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (a, b) if a < b else (b, a)
-                incidence.setdefault(key, []).append(cell)
+        # Sort the 3*nt triangle sides by their sorted vertex pair; the
+        # stable sort keeps each run of equal pairs in cell order.
+        sides = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                        axis=1)
+        keys = sides[:, 0] * len(self.vertices) + sides[:, 1]
+        order = np.argsort(keys, kind="stable")
+        sides = sides[order]
+        cells = order // 3
+        starts = np.flatnonzero(np.r_[True, np.diff(keys[order]) != 0])
+        counts = np.diff(np.r_[starts, len(sides)])
+        if np.any(counts > 2):
+            a, b = sides[starts[counts > 2][0]]
+            raise MeshError("edge %r shared by more than two triangles"
+                            % ((int(a), int(b)),))
+        inner = starts[counts == 2]
+        bound = starts[counts == 1]
 
-        interior, boundary = [], []
-        for key, cells in incidence.items():
-            if len(cells) == 2:
-                interior.append((key, min(cells), max(cells)))
-            elif len(cells) == 1:
-                boundary.append((key, cells[0]))
-            else:
-                raise MeshError(
-                    "edge %r shared by more than two triangles" % (key,))
-        interior.sort()
-        boundary.sort()
-
-        verts = self.vertices
-        bary = self.barycenters
-
-        ev = np.array([key for key, _, _ in interior], dtype=np.int64)
-        ev = ev.reshape(-1, 2)
-        ec = np.array([(k, l) for _, k, l in interior], dtype=np.int64)
-        ec = ec.reshape(-1, 2)
-        if len(interior):
-            tang = verts[ev[:, 1]] - verts[ev[:, 0]]
-            lengths = np.hypot(tang[:, 0], tang[:, 1])
-            dvec = bary[ec[:, 1]] - bary[ec[:, 0]]
-            dists = np.hypot(dvec[:, 0], dvec[:, 1])
-            normals = np.column_stack((tang[:, 1], -tang[:, 0])) / lengths[:, None]
-            side = np.einsum("ij,ij->i", normals, dvec)
-            if np.any(np.abs(side) <= 1e-14 * dists):
-                raise MeshError("barycenter segment parallel to shared edge")
-            normals[side < 0.0] *= -1.0
-        else:
-            lengths = np.zeros(0)
-            dists = np.zeros(0)
-            normals = np.zeros((0, 2))
+        ev = sides[inner]
+        ec = np.column_stack((cells[inner], cells[inner + 1]))
+        dvec = self.barycenters[ec[:, 1]] - self.barycenters[ec[:, 0]]
+        dists = np.hypot(dvec[:, 0], dvec[:, 1])
+        lengths, normals, side = _lengths_and_normals(self.vertices, ev, dvec)
+        if np.any(np.abs(side) <= 1e-14 * dists):
+            raise MeshError("barycenter segment parallel to shared edge")
         self.edge_vertices = ev
         self.edge_cells = ec
         self.edge_lengths = lengths
         self.edge_dists = dists
+        self.edge_weights = lengths / dists
         self.edge_normals = normals
 
-        bv = np.array([key for key, _ in boundary], dtype=np.int64).reshape(-1, 2)
-        bc = np.array([c for _, c in boundary], dtype=np.int64)
-        if len(boundary):
-            tang = verts[bv[:, 1]] - verts[bv[:, 0]]
-            blen = np.hypot(tang[:, 0], tang[:, 1])
-            bnrm = np.column_stack((tang[:, 1], -tang[:, 0])) / blen[:, None]
-            mid = 0.5 * (verts[bv[:, 0]] + verts[bv[:, 1]])
-            side = np.einsum("ij,ij->i", bnrm, mid - bary[bc])
-            bnrm[side < 0.0] *= -1.0
-        else:
-            blen = np.zeros(0)
-            bnrm = np.zeros((0, 2))
+        bv = sides[bound]
+        bc = cells[bound]
+        mid = 0.5 * (self.vertices[bv[:, 0]] + self.vertices[bv[:, 1]])
+        blen, bnrm, _ = _lengths_and_normals(self.vertices, bv,
+                                             mid - self.barycenters[bc])
         self.bedge_vertices = bv
         self.bedge_cell = bc
         self.bedge_lengths = blen
         self.bedge_normals = bnrm
 
-        all_lengths = np.concatenate((lengths, blen))
-        self.h = float(all_lengths.max()) if all_lengths.size else 0.0
+        # every triangle has a side, so there is at least one edge
+        self.h = float(np.concatenate((lengths, blen)).max())
 
     # -- basic queries ----------------------------------------------------
 
@@ -217,6 +208,17 @@ class TriMesh:
         pat = self.pattern or "custom"
         return ("TriMesh(%s, %d vertices, %d triangles, %d interior edges)"
                 % (pat, self.n_vertices, self.n_cells, self.n_interior_edges))
+
+
+def _lengths_and_normals(verts, pairs, toward):
+    """Length and unit normal of each edge, the normal turned to the side
+    of ``toward``; also the normal's component along ``toward``."""
+    tang = verts[pairs[:, 1]] - verts[pairs[:, 0]]
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack((tang[:, 1], -tang[:, 0])) / lengths[:, None]
+    side = np.einsum("ij,ij->i", normals, toward)
+    normals[side < 0.0] *= -1.0
+    return lengths, normals, side
 
 
 def _find_pair(pairs, n_vertices, pair):
@@ -248,6 +250,36 @@ def _resolve_interior_edge(mesh, edge):
     raise MeshError("no edge with vertex pair %r" % (pair,))
 
 
+def square_tiling(pattern, n, domain):
+    """Check that ``n`` squares along x tile ``domain`` for ``pattern``.
+
+    The square side is ``l = width / n``; the rectangle height must be a
+    whole multiple of ``l``, and ``mesh1`` needs an even square count in
+    both directions because its diagonal pattern tiles in 2x2 blocks.
+    Returns ``(l, ny)``, ``ny`` the square count along y; raises
+    ``MeshError`` when the request cannot be built.
+    """
+    pattern = _normalize_pattern(pattern)
+    xmin, xmax, ymin, ymax = (float(c) for c in domain)
+    if not (0.0 < xmax - xmin < np.inf and 0.0 < ymax - ymin < np.inf):
+        raise MeshError("degenerate domain: %r" % (domain,))
+    n = int(n)
+    if n < 1:
+        raise MeshError("need at least one square per side, got n=%d" % n)
+    side = (xmax - xmin) / n
+    ny_exact = (ymax - ymin) / side
+    ny = int(round(ny_exact)) if ny_exact < np.inf else 0
+    if ny < 1 or abs(ny_exact - ny) > 1e-9 * ny:
+        raise MeshError(
+            "domain of aspect %g cannot be tiled by squares of side %g"
+            % ((ymax - ymin) / (xmax - xmin), side))
+    if pattern == MESH1 and (n % 2 or ny % 2):
+        raise MeshError(
+            "mesh1 tiles in 2x2 blocks of squares and needs an even square "
+            "count per side, got %dx%d" % (n, ny))
+    return side, ny
+
+
 def build_structured_mesh(pattern, n, domain=(-0.5, 0.5, -0.5, 0.5)):
     """Build one of the two structured mesh families on a rectangle.
 
@@ -257,10 +289,8 @@ def build_structured_mesh(pattern, n, domain=(-0.5, 0.5, -0.5, 0.5)):
         ``mesh1`` splits each square in two (alternating diagonals),
         ``mesh2`` in four (criss-cross).
     n : int
-        Number of squares along the x direction.  The square side is
-        ``l = width / n``; the rectangle height must be a whole multiple
-        of ``l``.  ``mesh1`` requires an even square count in both
-        directions because its diagonal pattern tiles in 2x2 blocks.
+        Number of squares along the x direction; ``square_tiling`` states
+        which counts and domains can be built.
     domain : (xmin, xmax, ymin, ymax)
         Axis-aligned rectangle, default the unit square centered at the
         origin.
@@ -270,60 +300,35 @@ def build_structured_mesh(pattern, n, domain=(-0.5, 0.5, -0.5, 0.5)):
     TriMesh
     """
     pattern = _normalize_pattern(pattern)
-    xmin, xmax, ymin, ymax = (float(c) for c in domain)
-    if not (xmax > xmin and ymax > ymin):
-        raise MeshError("degenerate domain: %r" % (domain,))
+    side, ny = square_tiling(pattern, n, domain)
     n = int(n)
-    if n < 1:
-        raise MeshError("need at least one square per side, got n=%d" % n)
-    side = (xmax - xmin) / n
-    ny_exact = (ymax - ymin) / side
-    ny = int(round(ny_exact))
-    if ny < 1 or abs(ny_exact - ny) > 1e-9 * max(ny, 1):
-        raise MeshError(
-            "domain of aspect %g cannot be tiled by squares of side %g"
-            % ((ymax - ymin) / (xmax - xmin), side))
-    if pattern == MESH1 and (n % 2 or ny % 2):
-        raise MeshError(
-            "mesh1 tiles in 2x2 blocks of squares and needs an even square "
-            "count per side, got %dx%d" % (n, ny))
+    xmin, xmax, ymin, ymax = (float(c) for c in domain)
+
+    def grid(xs, ys):
+        gx, gy = np.meshgrid(xs, ys)
+        return np.column_stack((gx.ravel(), gy.ravel()))
 
     xs = np.linspace(xmin, xmax, n + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    vertices = np.column_stack((gx.ravel(), gy.ravel()))
+    vertices = grid(xs, ys)
 
-    def g(i, j):
-        return j * (n + 1) + i
-
-    tris = []
+    # corners of every square, squares ordered row by row
+    j, i = np.divmod(np.arange(n * ny), n)
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     if pattern == MESH1:
-        for j in range(ny):
-            for i in range(n):
-                v00, v10 = g(i, j), g(i + 1, j)
-                v01, v11 = g(i, j + 1), g(i + 1, j + 1)
-                if (i + j) % 2 == 0:
-                    # southwest-northeast diagonal
-                    tris += [(v00, v10, v11), (v00, v11, v01)]
-                else:
-                    # northwest-southeast diagonal
-                    tris += [(v00, v10, v01), (v10, v11, v01)]
+        sw_ne = np.column_stack((v00, v10, v11, v00, v11, v01))
+        nw_se = np.column_stack((v00, v10, v01, v10, v11, v01))
+        tris = np.where(((i + j) % 2 == 0)[:, None], sw_ne, nw_se)
     else:
-        cx = 0.5 * (xs[:-1] + xs[1:])
-        cy = 0.5 * (ys[:-1] + ys[1:])
-        ccx, ccy = np.meshgrid(cx, cy)
-        centers = np.column_stack((ccx.ravel(), ccy.ravel()))
-        base = len(vertices)
-        vertices = np.vstack((vertices, centers))
-        for j in range(ny):
-            for i in range(n):
-                v00, v10 = g(i, j), g(i + 1, j)
-                v01, v11 = g(i, j + 1), g(i + 1, j + 1)
-                c = base + j * n + i
-                tris += [(v00, v10, c), (v10, v11, c),
-                         (v11, v01, c), (v01, v00, c)]
+        c = len(vertices) + np.arange(n * ny)
+        vertices = np.vstack((vertices, grid(0.5 * (xs[:-1] + xs[1:]),
+                                             0.5 * (ys[:-1] + ys[1:]))))
+        tris = np.column_stack((v00, v10, c, v10, v11, c,
+                                v11, v01, c, v01, v00, c))
 
-    return TriMesh(vertices, np.array(tris), pattern=pattern, square_side=side)
+    return TriMesh(vertices, tris.reshape(-1, 3), pattern=pattern,
+                   square_side=side)
 
 
 def pattern_edge_distance(pattern, square_side, edge_length):
@@ -376,26 +381,21 @@ def verify_hypotheses(mesh, tol=HYPOTHESIS_TOL):
     numeric violation of each check.  Meshes from
     ``build_structured_mesh`` pass both checks.
     """
-    if mesh.n_interior_edges:
-        verts = mesh.vertices
-        tang = verts[mesh.edge_vertices[:, 1]] - verts[mesh.edge_vertices[:, 0]]
-        tang /= mesh.edge_lengths[:, None]
-        dvec = (mesh.barycenters[mesh.edge_cells[:, 1]]
-                - mesh.barycenters[mesh.edge_cells[:, 0]])
-        ortho = float(np.max(np.abs(np.einsum("ij,ij->i", tang, dvec))
-                             / mesh.edge_dists))
-    else:
-        ortho = 0.0
+    verts = mesh.vertices
+    tang = verts[mesh.edge_vertices[:, 1]] - verts[mesh.edge_vertices[:, 0]]
+    tang /= mesh.edge_lengths[:, None]
+    dvec = (mesh.barycenters[mesh.edge_cells[:, 1]]
+            - mesh.barycenters[mesh.edge_cells[:, 0]])
+    ortho = float(np.max(np.abs(np.einsum("ij,ij->i", tang, dvec))
+                         / mesh.edge_dists, initial=0.0))
 
+    # the two sides leaving each corner of each triangle
     p = mesh.vertices[mesh.triangles]
-    worst = 0.0
-    for a in range(3):
-        u = p[:, (a + 1) % 3] - p[:, a]
-        w = p[:, (a + 2) % 3] - p[:, a]
-        cosang = (np.einsum("ij,ij->i", u, w)
-                  / (np.hypot(u[:, 0], u[:, 1]) * np.hypot(w[:, 0], w[:, 1])))
-        ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-        worst = max(worst, float(ang.max()))
+    u = p[:, [1, 2, 0]] - p
+    w = p[:, [2, 0, 1]] - p
+    cosang = np.einsum("tai,tai->ta", u, w) / (
+        np.hypot(u[..., 0], u[..., 1]) * np.hypot(w[..., 0], w[..., 1]))
+    worst = float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
     angle_excess = max(worst - 0.5 * np.pi, 0.0)
 
     return HypothesesReport(

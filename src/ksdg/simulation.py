@@ -202,8 +202,8 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
     """Generate ``(state, diagnostics_row)`` pairs for a whole run.
 
     The first yield is the initial state (step 0); each later yield is
-    one accepted time step, for ``round(t_end / dt)`` steps (at least
-    one).  ``u0`` must be nonnegative.  With ``tau = 1`` a nonnegative
+    one accepted time step, for the ``t_end / dt`` steps of the horizon.
+    ``u0`` must be nonnegative.  With ``tau = 1`` a nonnegative
     ``v0`` is required; with ``tau = 0`` the chemoattractant history is
     never read, so any supplied ``v0`` is discarded and the stored field
     starts at zero.  Step failures raise ``StepFailureError``.
@@ -236,7 +236,7 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
     yield state, _make_row(mesh, state, params, 0.0, 0, 0.0, 0.0, 0.0)
 
     n_steps = int(round(params.t_end / params.dt))
-    for m in range(1, max(n_steps, 1) + 1):
+    for m in range(1, n_steps + 1):
         t = m * params.dt
         try:
             v_new = solve_v_step(system, state.v if params.tau else None,

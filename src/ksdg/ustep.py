@@ -90,8 +90,8 @@ class NewtonSettings:
     max_halvings: int = 10
 
     def __post_init__(self):
-        if not self.tol_residual > 0.0:
-            raise ValueError("tol_residual must be positive")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.damping not in ("backtracking", "none"):
@@ -110,11 +110,6 @@ class NewtonStats:
     clamp: float = 0.0
 
 
-def _edge_weights(mesh):
-    """|e| / D per interior edge."""
-    return mesh.edge_lengths / mesh.edge_dists
-
-
 def aupw_apply(mesh, mu, u, ubar):
     """Evaluate the upwind transport form on three cell fields.
 
@@ -125,17 +120,14 @@ def aupw_apply(mesh, mu, u, ubar):
     mu = _check_cellfield(mesh, mu, "mu")
     u = _check_cellfield(mesh, u, "u")
     ubar = _check_cellfield(mesh, ubar, "ubar")
-    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    jm = mu[k] - mu[l]
-    flux = _edge_weights(mesh) * (np.maximum(jm, 0.0) * u[k]
-                                  - np.maximum(-jm, 0.0) * u[l])
+    k, l, *_, flux = _flux_terms(mesh, u, mu, truncated=False)
     return float(np.dot(flux, ubar[k] - ubar[l]))
 
 
 def _flux_terms(mesh, u, mu, truncated):
     """Per-edge flux and the quantities its derivatives need."""
     k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    w = _edge_weights(mesh)
+    w = mesh.edge_weights
     jm = mu[k] - mu[l]
     jp = np.maximum(jm, 0.0)
     jn = np.maximum(-jm, 0.0)
@@ -234,7 +226,6 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     mu_new = _check_cellfield(mesh, mu_new, "mu_new")
     _check_cellfield(mesh, u_old, "u_old")
     _check_nodefield(mesh, v_new, "v_new")
-    nc = mesh.n_cells
     fu, fm, dt_diag, dlog = _jacobian_blocks(mesh, u_new, mu_new, params,
                                              truncated)
     a = fu + sp.diags(dt_diag)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import _check_cellfield, _check_nodefield, _lambda_gradients
+from .fields import _check_cellfield, _check_nodefield
 
 #: Relative residual the solve must reach, checked after every solve.
 RESIDUAL_RTOL = 1e-12
@@ -67,7 +67,7 @@ class VStepSystem:
 
 
 def _assemble_stiffness(mesh):
-    grads = _lambda_gradients(mesh)
+    grads = mesh.lambda_gradients
     local = mesh.areas[:, None, None] * np.einsum("tax,tbx->tab", grads, grads)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()

@@ -209,7 +209,8 @@ class TestC7Oracles:
                         "hand-derived matrices to 1e-13")
 
     def test_b_two_cell_residual_expansion(self, two_cell_mesh):
-        params = ModelParams(k0=2.0, k1=0.5, eps=1e-3, dt=1e-2)
+        params = ModelParams(k0=2.0, k1=0.5, eps=1e-3, dt=1e-2,
+                             t_end=1e-2)
         u = np.array([0.8, 1.9])
         mu = np.array([-0.3, 0.4])
         u_old = np.array([1.0, 1.5])
@@ -246,7 +247,7 @@ class TestC7Oracles:
     def test_d_jacobian_matches_central_differences(self):
         mesh = build_structured_mesh("mesh1", 4, (0, 1, 0, 1))
         nc = mesh.n_cells
-        params = ModelParams(eps=1e-2, dt=1e-3)
+        params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
         rng = np.random.default_rng(99)
         h = 1e-6
         worst = 0.0

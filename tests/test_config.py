@@ -102,11 +102,28 @@ class TestParsing:
         ("[mesh]\nn = 0\n", 2),
         ("[params]\nt_end = 1e-5\n[output]\nsnapshot_times = 0 1e-3\n", 4),
         ("[initial]\npreset = one_bulge\n[newton]\ndamping = wild\n", 4),
+        ("[params]\nt_end = inf\n", 2),
+        ("[params]\nk3 = inf\n", 2),
+        ("[params]\neps = inf\n", 2),
+        ("[params]\ndt = inf\n", 2),
+        ("[newton]\ntol_residual = inf\n", 2),
+        ("[params]\nt_end = 1e-3\ndt = 1\n", 3),
+        ("[params]\ndt = 1e-3\nt_end = 1e-2\nk0 = -1\n", 4),
+        ("[mesh]\nn = 3\n", 2),
+        ("[mesh]\ndomain = 1 0 0 1\n", 2),
+        ("[mesh]\npattern = mesh2\nn = 3\ndomain = 0 1 0 0.7\n", 4),
     ])
     def test_invalid_value_reports_its_line(self, text, line):
         with pytest.raises(ConfigError) as info:
             load_config(text)
         assert info.value.line == line
+
+    def test_values_judged_together_load_in_any_order(self):
+        # dt alone exceeds the default horizon; n = 3 alone is odd for mesh1
+        cfg = load_config("[mesh]\nn = 3\npattern = mesh2\n"
+                          "[params]\ndt = 1e-3\nt_end = 1e-2\n")
+        assert (cfg.pattern, cfg.n) == ("mesh2", 3)
+        assert (cfg.params.dt, cfg.params.t_end) == (1e-3, 1e-2)
 
     def test_repeated_key_rejected_at_second_occurrence(self):
         with pytest.raises(ConfigError, match="line 3: repeated key 'n'"):
@@ -131,7 +148,8 @@ class TestParsing:
         assert named == {(row[0], row[1]) for row in _SCHEMA}
 
 
-_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
 _number = st.floats(allow_nan=False)
 _terms = st.lists(st.one_of(
     st.builds(GaussianTerm, _number, _number, _number, _number),
@@ -143,20 +161,32 @@ _path = st.none() | st.text(max_size=12).filter(
 
 @st.composite
 def run_configs(draw):
+    dt = draw(st.floats(min_value=0.0, exclude_min=True, max_value=1e300))
     params = draw(st.builds(
         ModelParams, k0=_positive, k1=_positive, k2=_positive, k3=_positive,
         k4=_positive, tau=st.sampled_from([0, 1]), eps=_positive,
-        dt=_positive, t_end=_positive))
+        dt=st.just(dt),
+        t_end=st.integers(min_value=1, max_value=10**6).map(lambda k: k * dt)))
     newton = draw(st.builds(
         NewtonSettings, tol_residual=_positive,
         max_iters=st.integers(min_value=1),
         damping=st.sampled_from(["backtracking", "none"]),
         max_halvings=st.integers(min_value=0)))
     times = st.floats(min_value=0.0, max_value=params.t_end)
+    # whole multiples of a square side with 21 significant bits are exact,
+    # so the rectangle is tiled exactly; mesh1 tiles in 2x2 blocks
+    pattern = draw(st.sampled_from(["mesh1", "mesh2"]))
+    block = 2 if pattern == "mesh1" else 1
+    n, ny = (block * draw(st.integers(min_value=1, max_value=2**19))
+             for _ in range(2))
+    side = (draw(st.integers(min_value=1, max_value=2**20))
+            * 2.0 ** draw(st.integers(min_value=-40, max_value=40)))
+    x0, y0 = (draw(st.integers(min_value=-2**20, max_value=2**20))
+              for _ in range(2))
     return RunConfig(
-        pattern=draw(st.sampled_from(["mesh1", "mesh2"])),
-        n=draw(st.integers(min_value=1)),
-        domain=draw(st.tuples(_number, _number, _number, _number)),
+        pattern=pattern,
+        n=n,
+        domain=(x0 * side, (x0 + n) * side, y0 * side, (y0 + ny) * side),
         params=params,
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
         u0_terms=draw(_terms),

@@ -170,7 +170,15 @@ class TestModelParams:
 
     @pytest.mark.parametrize("kw", [dict(k0=0.0), dict(k3=-1.0),
                                     dict(eps=0.0), dict(dt=0.0),
-                                    dict(t_end=-1.0)])
+                                    dict(t_end=-1.0), dict(k1=np.inf),
+                                    dict(eps=np.inf), dict(dt=np.inf),
+                                    dict(t_end=np.inf)])
     def test_positivity_required(self, kw):
         with pytest.raises(ValueError):
             ModelParams(**kw)
+
+    @pytest.mark.parametrize("dt,t_end", [(1.0, 1e-3), (3e-6, 1e-5),
+                                          (1e-300, 1e300)])
+    def test_horizon_must_be_whole_steps(self, dt, t_end):
+        with pytest.raises(ValueError, match="whole number"):
+            ModelParams(dt=dt, t_end=t_end)

@@ -214,3 +214,160 @@ def test_dump_roundtrip_counts(unit_square_mesh1):
     start = text.index("interior_edges %d" % counts["interior_edges"]) + 1
     for line in text[start:start + counts["interior_edges"]]:
         assert float(line.split()[-1]) > 0
+
+
+# -- oracle: the per-triangle and per-square loops the mesh code replaced --
+
+def _oracle_triangles(pattern, n, ny):
+    def g(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(n):
+            v00, v10 = g(i, j), g(i + 1, j)
+            v01, v11 = g(i, j + 1), g(i + 1, j + 1)
+            if pattern == "mesh2":
+                c = (n + 1) * (ny + 1) + j * n + i
+                tris += [(v00, v10, c), (v10, v11, c),
+                         (v11, v01, c), (v01, v00, c)]
+            elif (i + j) % 2 == 0:
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                tris += [(v00, v10, v01), (v10, v11, v01)]
+    return np.array(tris)
+
+
+def _oracle_vertices(pattern, n, ny, domain):
+    xmin, xmax, ymin, ymax = domain
+    xs = np.linspace(xmin, xmax, n + 1)
+    ys = np.linspace(ymin, ymax, ny + 1)
+    gx, gy = np.meshgrid(xs, ys)
+    vertices = np.column_stack((gx.ravel(), gy.ravel()))
+    if pattern == "mesh2":
+        ccx, ccy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
+                               0.5 * (ys[:-1] + ys[1:]))
+        vertices = np.vstack((vertices,
+                              np.column_stack((ccx.ravel(), ccy.ravel()))))
+    return vertices
+
+
+def _oracle_edge_geometry(verts, bary, ev, ec, outward):
+    tang = verts[ev[:, 1]] - verts[ev[:, 0]]
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack((tang[:, 1], -tang[:, 0])) / lengths[:, None]
+    if outward:
+        dvec = 0.5 * (verts[ev[:, 0]] + verts[ev[:, 1]]) - bary[ec]
+    else:
+        dvec = bary[ec[:, 1]] - bary[ec[:, 0]]
+    normals[np.einsum("ij,ij->i", normals, dvec) < 0.0] *= -1.0
+    return lengths, normals, np.hypot(dvec[:, 0], dvec[:, 1])
+
+
+def _oracle_arrays(vertices, triangles):
+    """Every TriMesh array, with edges grouped by a dict over all sides."""
+    verts = np.array(vertices, dtype=float)
+    tris = np.array(triangles, dtype=np.int64)
+    p0 = verts[tris[:, 0]]
+    e1 = verts[tris[:, 1]] - p0
+    e2 = verts[tris[:, 2]] - p0
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    tris[cross < 0.0] = tris[cross < 0.0][:, [0, 2, 1]]
+    areas = 0.5 * np.abs(cross)
+    p = verts[tris]
+    bary = p.mean(axis=1)
+    opp = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    grads = np.empty_like(opp)
+    grads[:, :, 0] = -opp[:, :, 1]
+    grads[:, :, 1] = opp[:, :, 0]
+    grads /= (2.0 * areas)[:, None, None]
+
+    incidence = {}
+    for cell, tri in enumerate(tris):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            incidence.setdefault((min(a, b), max(a, b)), []).append(cell)
+    interior = sorted((key, min(c), max(c))
+                      for key, c in incidence.items() if len(c) == 2)
+    boundary = sorted((key, c[0])
+                      for key, c in incidence.items() if len(c) == 1)
+    ev = np.array([key for key, _, _ in interior], dtype=np.int64)
+    ev = ev.reshape(-1, 2)
+    ec = np.array([kl for _, *kl in interior], dtype=np.int64).reshape(-1, 2)
+    bv = np.array([key for key, _ in boundary], dtype=np.int64)
+    bv = bv.reshape(-1, 2)
+    bc = np.array([c for _, c in boundary], dtype=np.int64)
+    lengths, normals, dists = _oracle_edge_geometry(verts, bary, ev, ec,
+                                                    outward=False)
+    blen, bnrm, _ = _oracle_edge_geometry(verts, bary, bv, bc, outward=True)
+    return {
+        "vertices": verts, "triangles": tris, "areas": areas,
+        "barycenters": bary,
+        "vertex_areas": np.bincount(tris.ravel(),
+                                    weights=np.repeat(areas / 3.0, 3),
+                                    minlength=len(verts)),
+        "lambda_gradients": grads,
+        "edge_vertices": ev, "edge_cells": ec, "edge_lengths": lengths,
+        "edge_dists": dists, "edge_weights": lengths / dists,
+        "edge_normals": normals,
+        "bedge_vertices": bv, "bedge_cell": bc, "bedge_lengths": blen,
+        "bedge_normals": bnrm,
+        "h": float(np.concatenate((lengths, blen)).max()),
+    }
+
+
+def _assert_matches_oracle(mesh, expected):
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        if isinstance(want, float):
+            assert type(got) is float and got == want, name
+        else:
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+class TestOracle:
+    @pytest.mark.parametrize("pattern,n,domain", [
+        ("mesh1", 2, (0, 1, 0, 1)),
+        ("mesh1", 6, (0, 3, 0, 2)),
+        ("mesh1", 16, CENTERED_SQUARE),
+        ("mesh2", 1, (0, 1, 0, 1)),
+        ("mesh2", 5, (-1, 1, 0, 2.4)),
+        ("mesh2", 12, CENTERED_SQUARE),
+    ])
+    def test_structured_mesh_bit_equal(self, pattern, n, domain):
+        mesh = build_structured_mesh(pattern, n, domain)
+        ny = round(n * (domain[3] - domain[2]) / (domain[1] - domain[0]))
+        tris = _oracle_triangles(pattern, n, ny)
+        verts = _oracle_vertices(pattern, n, ny, domain)
+        _assert_matches_oracle(mesh, _oracle_arrays(verts, tris))
+
+    @pytest.mark.parametrize("pattern,seed", [("mesh1", 0), ("mesh1", 1),
+                                              ("mesh2", 2), ("mesh2", 3)])
+    def test_shuffled_reoriented_triangulation_bit_equal(self, pattern,
+                                                          seed):
+        rng = np.random.default_rng(seed)
+        base = build_structured_mesh(pattern, 4, (0, 1, 0, 1))
+        relabel = rng.permutation(base.n_vertices)
+        verts = np.empty_like(base.vertices)
+        verts[relabel] = base.vertices
+        tris = relabel[base.triangles[rng.permutation(base.n_cells)]]
+        turned = rng.integers(0, 3, len(tris))
+        tris = np.array([np.roll(t, r) for t, r in zip(tris, turned)])
+        flip = rng.random(len(tris)) < 0.5
+        tris[flip] = tris[flip][:, ::-1]
+        _assert_matches_oracle(TriMesh(verts, tris),
+                               _oracle_arrays(verts, tris))
+
+    def test_single_triangle_has_no_interior_edges(self):
+        verts, tris = [(0, 0), (1, 0), (0, 1)], [(0, 2, 1)]
+        mesh = TriMesh(verts, tris)
+        assert mesh.n_interior_edges == 0 and mesh.n_boundary_edges == 3
+        _assert_matches_oracle(mesh, _oracle_arrays(verts, tris))
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    verts = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more "
+                                        r"than two triangles"):
+        TriMesh(verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])

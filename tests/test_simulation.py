@@ -131,7 +131,7 @@ class TestEnergyEps:
 class TestEnergyLaw:
     def test_homogeneous_steady_state_is_zero(self):
         mesh = build_structured_mesh("mesh2", 2, (0, 1, 0, 1))
-        p = ModelParams(dt=1e-3)
+        p = ModelParams(dt=1e-3, t_end=1e-3)
         c, vbar = 2.0, 0.5
         u = np.full(mesh.n_cells, c)
         v = np.full(mesh.n_vertices, vbar)

@@ -57,7 +57,7 @@ class TestUpwindForm:
 class TestResidual:
     def test_homogeneous_steady_state_is_zero(self, unit_square_mesh2):
         nc = unit_square_mesh2.n_cells
-        params = ModelParams(dt=1e-3)
+        params = ModelParams(dt=1e-3, t_end=1e-3)
         c = 2.5
         v = np.full(unit_square_mesh2.n_vertices, 0.7)
         u = np.full(nc, c)
@@ -66,7 +66,8 @@ class TestResidual:
         assert np.max(np.abs(r)) <= 1e-13
 
     def test_two_cell_symbolic_expansion(self, two_cell_mesh, rng):
-        params = ModelParams(k0=1.3, k1=0.8, eps=1e-4, dt=2e-3)
+        params = ModelParams(k0=1.3, k1=0.8, eps=1e-4, dt=2e-3,
+                             t_end=2e-3)
         u = np.array([1.7, 0.4])
         mu = np.array([0.9, -0.6])
         u_old = np.array([1.2, 0.9])
@@ -124,7 +125,7 @@ class TestResidual:
         assert np.allclose(ra, rb, rtol=1e-13, atol=1e-13)
 
     def test_non_truncated_transports_raw_density(self, two_cell_mesh):
-        params = ModelParams(eps=1.0, dt=1e-3)
+        params = ModelParams(eps=1.0, dt=1e-3, t_end=1e-3)
         u = np.array([-0.5, 2.0])
         mu = np.array([1.0, 0.0])
         u_old = np.array([0.5, 1.0])
@@ -141,7 +142,7 @@ class TestJacobian:
     def test_matches_central_differences(self, rng):
         mesh = build_structured_mesh("mesh1", 4, (0, 1, 0, 1))
         nc = mesh.n_cells
-        params = ModelParams(eps=1e-2, dt=1e-3)
+        params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
         u_old = rng.uniform(0.2, 1.0, nc)
         v = rng.uniform(0.0, 1.0, mesh.n_vertices)
         h = 1e-6
@@ -162,7 +163,7 @@ class TestJacobian:
     def test_sparsity_follows_edge_adjacency(self, unit_square_mesh1, rng):
         mesh = unit_square_mesh1
         nc = mesh.n_cells
-        params = ModelParams(eps=1e-2, dt=1e-3)
+        params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
         u = rng.uniform(1.0, 2.0, nc)
         mu = rng.uniform(1.0, 2.0, nc) * np.arange(1, nc + 1)  # all jumps hit
         jac = u_step_jacobian(mesh, u, mu, u, np.zeros(mesh.n_vertices),
@@ -179,7 +180,7 @@ class TestJacobian:
     def test_truncated_cell_has_zero_flux_derivative(self, two_cell_mesh):
         # a cell with negative density transports nothing, so flux
         # derivatives with respect to it vanish
-        params = ModelParams(eps=1.0, dt=1e-3)
+        params = ModelParams(eps=1.0, dt=1e-3, t_end=1e-3)
         u = np.array([-0.5, 2.0])
         mu = np.array([1.0, 0.0])  # jump positive: donor is cell 0
         jac = u_step_jacobian(two_cell_mesh, u, mu, np.ones(2),
@@ -194,7 +195,7 @@ class TestJacobian:
     def test_schur_direction_matches_full_solve(self, rng):
         mesh = build_structured_mesh("mesh2", 3, (0, 1, 0, 1))
         nc = mesh.n_cells
-        params = ModelParams(eps=1e-2, dt=1e-3)
+        params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
         u = rng.uniform(0.5, 1.5, nc)
         mu = rng.uniform(-1.0, 1.0, nc)
         u_old = rng.uniform(0.2, 1.0, nc)
@@ -210,7 +211,7 @@ class TestJacobian:
 
 class TestSolve:
     def test_homogeneous_fixed_point(self, unit_square_mesh2):
-        params = ModelParams(dt=1e-3)
+        params = ModelParams(dt=1e-3, t_end=1e-3)
         c = 3.0
         vbar = 0.4
         u_old = np.full(unit_square_mesh2.n_cells, c)
@@ -222,7 +223,7 @@ class TestSolve:
                            - params.k1 * vbar, atol=1e-14)
 
     def test_two_cell_bisection_oracle(self, two_cell_mesh):
-        params = ModelParams(eps=1e-6, dt=1e-3)
+        params = ModelParams(eps=1e-6, dt=1e-3, t_end=1e-3)
         a, b = 2.0, 0.5
         c1, c2 = 0.3, -0.2
         u_old = np.array([a, b])
@@ -275,7 +276,7 @@ class TestSolve:
                          ModelParams())
 
     def test_divergence_carries_last_iterate(self, two_cell_mesh):
-        params = ModelParams(dt=1e-3)
+        params = ModelParams(dt=1e-3, t_end=1e-3)
         settings = NewtonSettings(max_iters=1, tol_residual=1e-14)
         with pytest.raises(NewtonDivergenceError) as info:
             solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),

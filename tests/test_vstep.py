@@ -68,13 +68,15 @@ class TestAssembly:
 
     def test_system_matrix_exactly_symmetric(self):
         mesh = build_structured_mesh("mesh2", 4)
-        system = assemble_v_system(mesh, ModelParams(dt=1e-3))
+        system = assemble_v_system(mesh,
+                                   ModelParams(dt=1e-3, t_end=1e-3))
         diff = (system.matrix - system.matrix.T)
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
     def test_system_matrix_positive_definite(self):
         mesh = build_structured_mesh("mesh2", 3)
-        system = assemble_v_system(mesh, ModelParams(dt=1e-3))
+        system = assemble_v_system(mesh,
+                                   ModelParams(dt=1e-3, t_end=1e-3))
         eigs = np.linalg.eigvalsh(system.matrix.toarray())
         assert eigs.min() > 0
 
@@ -91,7 +93,7 @@ class TestAssembly:
 class TestSolve:
     def test_constant_steady_state(self):
         mesh = build_structured_mesh("mesh1", 4, (0, 1, 0, 1))
-        params = ModelParams(k3=2.0, k4=3.0, dt=1e-2)
+        params = ModelParams(k3=2.0, k4=3.0, dt=1e-2, t_end=1e-2)
         system = assemble_v_system(mesh, params)
         c = 1.7
         u = np.full(mesh.n_cells, c)
@@ -149,7 +151,7 @@ class TestSolve:
         # acute meshes make the system matrix an M-matrix: nonnegative
         # inputs can only produce round-off-level negatives
         mesh = build_structured_mesh(pattern, n)
-        params = ModelParams(dt=1e-3)
+        params = ModelParams(dt=1e-3, t_end=1e-3)
         system = assemble_v_system(mesh, params)
         worst = 0.0
         for _ in range(250):

@@ -87,9 +87,12 @@ class TriMesh:
         functions, in the order of the triangle's vertices.
     h : float
         Mesh size (longest edge).
+    cell_pattern : CellPattern
+        CSR pattern of the cell adjacency, built on first use.
 
-    All arrays are frozen after construction; a TriMesh is safe for
-    concurrent reads.
+    All arrays are read-only after construction, so derived data such as
+    ``edge_weights`` cannot go stale; a TriMesh is safe for concurrent
+    reads.
     """
 
     def __init__(self, vertices, triangles, pattern=None, square_side=None):
@@ -135,6 +138,7 @@ class TriMesh:
             minlength=len(vertices))
         self.lambda_gradients = grads
         self._build_edges()
+        _freeze(self)
 
     # -- connectivity ----------------------------------------------------
 
@@ -201,6 +205,15 @@ class TriMesh:
     def n_boundary_edges(self):
         return len(self.bedge_cell)
 
+    @property
+    def cell_pattern(self):
+        # rebuilt when edge_cells is replaced, as on a relabelled copy
+        if getattr(self, "_pattern_edges", None) is not self.edge_cells:
+            self._cell_pattern = _build_cell_pattern(self.n_cells,
+                                                     self.edge_cells)
+            self._pattern_edges = self.edge_cells
+        return self._cell_pattern
+
     def domain_area(self):
         return float(self.areas.sum())
 
@@ -208,6 +221,50 @@ class TriMesh:
         pat = self.pattern or "custom"
         return ("TriMesh(%s, %d vertices, %d triangles, %d interior edges)"
                 % (pat, self.n_vertices, self.n_cells, self.n_interior_edges))
+
+
+def _freeze(obj):
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class CellPattern:
+    """CSR pattern of a cell-by-cell matrix coupling edge neighbours.
+
+    The stored entries are the diagonal and ``(K, L)``, ``(L, K)`` for
+    every interior edge, with sorted column indices in each row.
+    ``slots`` maps the values to scatter, in the order ``diagonal``
+    (nc), then per edge ``(K, K)``, ``(K, L)``, ``(L, K)``, ``(L, L)``
+    (ne each), to their position in the CSR data array, so one
+    ``np.bincount`` assembles a matrix on the pattern.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+
+def _build_cell_pattern(nc, edge_cells):
+    k, l = edge_cells[:, 0], edge_cells[:, 1]
+    cells = np.arange(nc)
+    rows = np.concatenate((cells, k, l))
+    cols = np.concatenate((cells, l, k))
+    # the keys are unique: two cells share at most one edge
+    order = np.argsort(rows * nc + cols, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    diag, kl, lk = np.split(slot, [nc, nc + len(k)])
+    # scipy takes int32 index arrays as they are; int64 ones it copies
+    index = np.int32 if len(order) < 2 ** 31 else np.int64
+    pattern = CellPattern(
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nc)))
+                              ).astype(index),
+        indices=cols[order].astype(index),
+        slots=np.concatenate((diag, diag[k], kl, lk, diag[l])))
+    _freeze(pattern)
+    return pattern
 
 
 def _lengths_and_normals(verts, pairs, toward):

@@ -121,6 +121,18 @@ def _grad_square(mesh, v):
     return float(np.dot(mesh.areas, np.einsum("ij,ij->i", g, g)))
 
 
+def _energies(mesh, u, v, params):
+    """``(energy, energy_eps)`` of a state; the coupling and gradient terms
+    the two functionals share are evaluated once."""
+    coupling = params.k1 * _coupling(mesh, u, v)
+    gradient = 0.5 * params.k1 * params.k2 / params.k4 * _grad_square(mesh, v)
+    square = 0.5 * params.k1 * params.k3 / params.k4
+    return (params.k0 * _entropy(mesh, u, 0.0) - coupling + gradient
+            + square * p1_square_integral(mesh, v),
+            params.k0 * _entropy(mesh, u, params.eps) - coupling + gradient
+            + square * p1_square_integral(mesh, v, lumped=True))
+
+
 def energy(mesh, u, v, params):
     """Free energy of a state, exact quadrature, ``0*log(0) = 0``.
 
@@ -131,11 +143,7 @@ def energy(mesh, u, v, params):
     if np.min(u) < 0.0:
         raise ValueError("energy of a negative density (min %g)"
                          % float(np.min(u)))
-    return (params.k0 * _entropy(mesh, u, 0.0)
-            - params.k1 * _coupling(mesh, u, v)
-            + 0.5 * params.k1 * params.k2 / params.k4 * _grad_square(mesh, v)
-            + 0.5 * params.k1 * params.k3 / params.k4
-            * p1_square_integral(mesh, v))
+    return _energies(mesh, u, v, params)[0]
 
 
 def energy_eps(mesh, u, v, params):
@@ -151,11 +159,7 @@ def energy_eps(mesh, u, v, params):
     if np.min(u) + params.eps <= 0.0:
         raise ValueError("u + eps must be positive (min %g)"
                          % float(np.min(u)))
-    return (params.k0 * _entropy(mesh, u, params.eps)
-            - params.k1 * _coupling(mesh, u, v)
-            + 0.5 * params.k1 * params.k2 / params.k4 * _grad_square(mesh, v)
-            + 0.5 * params.k1 * params.k3 / params.k4
-            * p1_square_integral(mesh, v, lumped=True))
+    return _energies(mesh, u, v, params)[1]
 
 
 def energy_law_lhs(mesh, state_old, state_new, params):
@@ -164,10 +168,15 @@ def energy_law_lhs(mesh, state_old, state_new, params):
     For accepted steps the value is nonpositive up to solver tolerances;
     the run invariant is ``lhs <= 1e-8 * (1 + |E_eps|)``.
     """
+    return _energy_law_lhs(mesh, state_old, state_new, params,
+                           energy_eps(mesh, state_old.u, state_old.v, params),
+                           energy_eps(mesh, state_new.u, state_new.v, params))
+
+
+def _energy_law_lhs(mesh, state_old, state_new, params, eeps_old, eeps_new):
     dt = params.dt
     dv = (state_new.v - state_old.v) / dt
-    d_eeps = (energy_eps(mesh, state_new.u, state_new.v, params)
-              - energy_eps(mesh, state_old.u, state_old.v, params)) / dt
+    d_eeps = (eeps_new - eeps_old) / dt
     dv_lumped = p1_square_integral(mesh, dv, lumped=True)
     lhs = (d_eeps
            + dt * 0.5 * params.k1 * params.k3 / params.k4 * dv_lumped
@@ -179,7 +188,7 @@ def energy_law_lhs(mesh, state_old, state_new, params):
     return float(lhs)
 
 
-def _make_row(mesh, state, params, law, iters, residual, u_clamp, v_clamp):
+def _make_row(mesh, state, energies, law, iters, residual, u_clamp, v_clamp):
     return DiagnosticsRow(
         step=state.m,
         time=state.t,
@@ -188,8 +197,8 @@ def _make_row(mesh, state, params, law, iters, residual, u_clamp, v_clamp):
         max_u=float(np.max(state.u)),
         min_v=float(np.min(state.v)),
         max_v=float(np.max(state.v)),
-        E=energy(mesh, state.u, state.v, params),
-        E_eps=energy_eps(mesh, state.u, state.v, params),
+        E=energies[0],
+        E_eps=energies[1],
         energy_law_lhs=law,
         newton_iters=iters,
         newton_residual=residual,
@@ -233,7 +242,8 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
     u = u0.astype(float).copy()
     mu = params.k0 * np.log(u + params.eps) - params.k1 * project_p1_to_p0(mesh, v)
     state = SimState(0, 0.0, u, v, mu)
-    yield state, _make_row(mesh, state, params, 0.0, 0, 0.0, 0.0, 0.0)
+    energies = _energies(mesh, u, v, params)
+    yield state, _make_row(mesh, state, energies, 0.0, 0, 0.0, 0.0, 0.0)
 
     n_steps = int(round(params.t_end / params.dt))
     for m in range(1, n_steps + 1):
@@ -264,11 +274,13 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
                                    % (m, t, exc), m, t, cause=exc) from exc
 
         new_state = SimState(m, t, u_new, v_new, mu_new)
-        law = energy_law_lhs(mesh, state, new_state, params)
-        yield new_state, _make_row(mesh, new_state, params, law,
+        new_energies = _energies(mesh, u_new, v_new, params)
+        law = _energy_law_lhs(mesh, state, new_state, params, energies[1],
+                              new_energies[1])
+        yield new_state, _make_row(mesh, new_state, new_energies, law,
                                    stats.iterations, stats.residual,
                                    stats.clamp, v_clamp)
-        state = new_state
+        state, energies = new_state, new_energies
 
 
 def run(cfg):

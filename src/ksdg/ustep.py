@@ -23,7 +23,10 @@ gradients are zero) and only the edge sum remains.
 The coupled system is solved by a damped Newton method with an exact
 Jacobian.  Truncation kinks use one-sided derivatives: ``d pos(x)/dx`` is
 1 for ``x > 0`` and 0 otherwise, so Jacobian rows of inactive cells stay
-consistent.
+consistent.  Each Newton system is reduced to its Schur complement in
+``u``, assembled by one scatter onto the mesh's fixed cell-adjacency
+pattern, and solved by Jacobi-preconditioned BiCGSTAB; a sparse LU
+factorization takes over when the Krylov solve misses its tolerance.
 """
 
 from dataclasses import dataclass
@@ -43,6 +46,13 @@ CLAMP_REL = 1e-13
 
 #: Per-step relative mass drift allowed before the step is rejected.
 MASS_RTOL = 1e-11
+
+#: Relative true residual the Krylov solve of a Newton system must reach;
+#: a solve that misses it is repeated with a sparse LU factorization.
+NEWTON_LINEAR_RTOL = 1e-12
+
+#: Krylov iterations after which a Newton system goes to the LU solve.
+NEWTON_LINEAR_MAXITER = 1000
 
 
 class UStepError(RuntimeError):
@@ -108,6 +118,10 @@ class NewtonStats:
     residual: float
     converged: bool
     clamp: float = 0.0
+    #: BiCGSTAB iterations summed over the Newton iterations
+    linear_iterations: int = 0
+    #: Newton systems solved by LU after the Krylov solve missed
+    lu_fallbacks: int = 0
 
 
 def aupw_apply(mesh, mu, u, ubar):
@@ -188,9 +202,10 @@ def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     return np.concatenate((r1, r2))
 
 
-def _jacobian_blocks(mesh, u, mu, params, truncated):
-    """Sparse blocks dR1/du, dR1/dmu plus the diagonal derivative data."""
-    nc = mesh.n_cells
+def _flux_derivatives(mesh, u, mu, truncated):
+    """Edge cells and the derivatives of each edge flux with respect to
+    ``u_K``, ``u_L`` and the jump ``[mu]``, with the kink conventions of
+    ``u_step_jacobian``."""
     k, l, w, jm, jp, jn, wk, wl, flux = _flux_terms(mesh, u, mu, truncated)
     if truncated:
         hk = (u[k] > 0.0).astype(float)
@@ -202,17 +217,7 @@ def _jacobian_blocks(mesh, u, mu, params, truncated):
     df_dul = -w * jn * hl
     # derivative of the jump parts; the subgradient at [mu] = 0 is 0
     df_djm = w * ((jm > 0.0) * wk + (jm < 0.0) * wl)
-
-    rows = np.concatenate((k, k, l, l))
-    cols = np.concatenate((k, l, k, l))
-    data_u = np.concatenate((df_duk, df_dul, -df_duk, -df_dul))
-    data_m = np.concatenate((df_djm, -df_djm, -df_djm, df_djm))
-    fu = sp.coo_matrix((data_u, (rows, cols)), shape=(nc, nc)).tocsr()
-    fm = sp.coo_matrix((data_m, (rows, cols)), shape=(nc, nc)).tocsr()
-
-    dt_diag = mesh.areas / params.dt
-    dlog = params.k0 * mesh.areas / (u + params.eps)
-    return fu, fm, dt_diag, dlog
+    return k, l, df_duk, df_dul, df_djm
 
 
 def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
@@ -226,11 +231,71 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     mu_new = _check_cellfield(mesh, mu_new, "mu_new")
     _check_cellfield(mesh, u_old, "u_old")
     _check_nodefield(mesh, v_new, "v_new")
-    fu, fm, dt_diag, dlog = _jacobian_blocks(mesh, u_new, mu_new, params,
-                                             truncated)
-    a = fu + sp.diags(dt_diag)
+    nc = mesh.n_cells
+    k, l, df_duk, df_dul, df_djm = _flux_derivatives(mesh, u_new, mu_new,
+                                                     truncated)
+    rows = np.concatenate((k, k, l, l))
+    cols = np.concatenate((k, l, k, l))
+    data_u = np.concatenate((df_duk, df_dul, -df_duk, -df_dul))
+    data_m = np.concatenate((df_djm, -df_djm, -df_djm, df_djm))
+    fu = sp.coo_matrix((data_u, (rows, cols)), shape=(nc, nc)).tocsr()
+    fm = sp.coo_matrix((data_m, (rows, cols)), shape=(nc, nc)).tocsr()
+    a = fu + sp.diags(mesh.areas / params.dt)
+    dlog = params.k0 * mesh.areas / (u_new + params.eps)
     return sp.bmat([[a, fm],
                     [sp.diags(-dlog), sp.diags(mesh.areas)]]).tocsr()
+
+
+def _schur_system(mesh, u, mu, r1, r2, params, truncated):
+    """Schur matrix on ``mesh.cell_pattern``, its right-hand side, and
+    ``k0 / (u + eps)``.
+
+    Edge ``e = (K, L)`` adds ``a_KK = dF/du_K + dF/d[mu] * k0/(u_K+eps)``
+    to ``(K, K)`` and ``-a_KK`` to ``(L, K)``, ``a_KL = dF/du_L - dF/d[mu]
+    * k0/(u_L+eps)`` to ``(K, L)`` and ``-a_KL`` to ``(L, L)``; the
+    diagonal also holds ``|K|/dt``.
+    """
+    nc = mesh.n_cells
+    k, l, df_duk, df_dul, df_djm = _flux_derivatives(mesh, u, mu, truncated)
+    ratio = params.k0 / (u + params.eps)
+    a_kk = df_duk + df_djm * ratio[k]
+    a_kl = df_dul - df_djm * ratio[l]
+    pattern = mesh.cell_pattern
+    data = np.bincount(pattern.slots,
+                       weights=np.concatenate((mesh.areas / params.dt, a_kk,
+                                               a_kl, -a_kk, -a_kl)),
+                       minlength=len(pattern.indices))
+    schur = sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                          shape=(nc, nc))
+    # Fmu (R2 / |K|), edge by edge
+    y = r2 / mesh.areas
+    t = df_djm * (y[k] - y[l])
+    rhs = (-r1 + np.bincount(k, weights=t, minlength=nc)
+           - np.bincount(l, weights=t, minlength=nc))
+    return schur, rhs, ratio
+
+
+def _krylov_solve(schur, rhs, diagonal):
+    """Jacobi-preconditioned BiCGSTAB from zero; ``(x, iterations)``, with
+    ``x`` None unless the true residual meets ``NEWTON_LINEAR_RTOL``."""
+    inverse = 1.0 / diagonal
+    applications = [0]
+
+    def precondition(x):
+        applications[0] += 1
+        return inverse * x
+
+    jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
+                                 dtype=float)
+    x, info = spla.bicgstab(schur, rhs, rtol=NEWTON_LINEAR_RTOL, atol=0.0,
+                            maxiter=NEWTON_LINEAR_MAXITER, M=jacobi)
+    # each iteration applies the preconditioner twice; the last may stop
+    # after its first half
+    iterations = (applications[0] + 1) // 2
+    if info != 0 or not (np.linalg.norm(rhs - schur @ x)
+                         <= NEWTON_LINEAR_RTOL * np.linalg.norm(rhs)):
+        return None, iterations
+    return x, iterations
 
 
 def _newton_direction(mesh, u, mu, r1, r2, params, truncated):
@@ -238,20 +303,29 @@ def _newton_direction(mesh, u, mu, r1, r2, params, truncated):
 
     The potential block is diagonal, so eliminating ``d_mu`` gives
     ``(A + Fmu * diag(k0/(u+eps))) d_u = -R1 + Fmu (R2 / |K|)`` and
-    ``d_mu = -R2/|K| + k0/(u+eps) * d_u``, at half the factorization size
-    of the full system.
+    ``d_mu = -R2/|K| + k0/(u+eps) * d_u``, at half the size of the full
+    system.  The Schur matrix is a nonsingular M-matrix when the flux is
+    truncated: its columns sum to ``|K|/dt`` and its off-diagonal
+    entries are nonpositive.  It is solved with Jacobi-preconditioned
+    BiCGSTAB; a sparse LU factorization solves it instead when the
+    Krylov solve misses ``NEWTON_LINEAR_RTOL`` on the true residual.
+
+    Returns ``(du, dmu, krylov_iterations, lu_fallback)``.
     """
-    fu, fm, dt_diag, dlog = _jacobian_blocks(mesh, u, mu, params, truncated)
-    ratio = dlog / mesh.areas            # k0 / (u + eps)
-    schur = fu + sp.diags(dt_diag) + (fm @ sp.diags(ratio))
-    rhs = -r1 + fm @ (r2 / mesh.areas)
-    try:
-        du = spla.splu(schur.tocsc()).solve(rhs)
-    except RuntimeError as exc:          # singular factorization
-        raise NewtonDivergenceError("Newton linear system is singular: %s"
-                                    % exc, u=u, mu=mu) from exc
+    schur, rhs, ratio = _schur_system(mesh, u, mu, r1, r2, params, truncated)
+    diagonal = schur.diagonal()
+    du, iterations = None, 0
+    if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
+        du, iterations = _krylov_solve(schur, rhs, diagonal)
+    fallback = du is None
+    if fallback:
+        try:
+            du = spla.splu(schur.tocsc()).solve(rhs)
+        except RuntimeError as exc:      # singular factorization
+            raise NewtonDivergenceError("Newton linear system is singular: "
+                                        "%s" % exc, u=u, mu=mu) from exc
     dmu = -r2 / mesh.areas + ratio * du
-    return du, dmu
+    return du, dmu, iterations, fallback
 
 
 def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
@@ -297,14 +371,16 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
         return r1, r2, rnorm, scale
 
     r1, r2, rnorm, scale = norm_and_scale(u, mu)
-    iterations = 0
+    stats = NewtonStats(0, rnorm, False)
     while rnorm > max(settings.tol_residual, 16.0 * _EPS * scale):
-        if iterations >= settings.max_iters:
-            stats = NewtonStats(iterations, rnorm, False)
+        if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
-                % (rnorm, iterations), u=u, mu=mu, stats=stats)
-        du, dmu = _newton_direction(mesh, u, mu, r1, r2, params, truncated)
+                % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
+        du, dmu, krylov, fallback = _newton_direction(mesh, u, mu, r1, r2,
+                                                      params, truncated)
+        stats.linear_iterations += krylov
+        stats.lu_fallbacks += fallback
 
         best = None  # (rnorm, u, mu, r1, r2, scale) of the best trial
         lam = 1.0
@@ -319,7 +395,6 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
                     break
             lam *= 0.5
         if best is None:
-            stats = NewtonStats(iterations, rnorm, False)
             raise NewtonDivergenceError(
                 "no admissible Newton step after %d halvings (u + eps must "
                 "stay positive)" % settings.max_halvings,
@@ -327,7 +402,8 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
         # Accept the best admissible trial even if the residual did not
         # decrease; the truncation kinks make strict descent too rigid.
         rnorm, u, mu, r1, r2, scale = best
-        iterations += 1
+        stats.iterations += 1
+        stats.residual = rnorm
 
     clamp = 0.0
     if np.min(u) < 0.0:
@@ -346,4 +422,6 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
             "mass drift %g exceeds %g relative"
             % (mass_new - mass_old, MASS_RTOL))
 
-    return u, mu, NewtonStats(iterations, rnorm, True, clamp)
+    stats.converged = True
+    stats.clamp = clamp
+    return u, mu, stats

@@ -6,6 +6,8 @@ import pytest
 from ksdg import (MeshError, TriMesh, build_structured_mesh, dump_mesh,
                   edge_distance, pattern_edge_distance, verify_hypotheses)
 
+from conftest import flip_edges
+
 CENTERED_SQUARE = (-0.5, 0.5, -0.5, 0.5)
 
 
@@ -197,6 +199,38 @@ class TestTriMesh:
         assert two_cell_mesh.edge_dists[0] == pytest.approx(np.sqrt(2) / 3)
         report = verify_hypotheses(two_cell_mesh)
         assert report.orthogonality_ok and report.acute_ok
+
+    def test_arrays_are_read_only(self, unit_square_mesh1):
+        mesh = unit_square_mesh1
+        pattern = mesh.cell_pattern
+        arrays = dict(vars(mesh), indptr=pattern.indptr,
+                      indices=pattern.indices, slots=pattern.slots)
+        arrays = {name: value for name, value in arrays.items()
+                  if isinstance(value, np.ndarray)}
+        assert {"edge_lengths", "edge_weights", "slots"} <= set(arrays)
+        for name, value in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_cell_pattern_entries(self, unit_square_mesh2, rng, flip):
+        mesh = unit_square_mesh2
+        if flip:
+            # a copy relabelled after the original's pattern was built
+            assert mesh.cell_pattern is not None
+            mesh = flip_edges(mesh, rng.random(mesh.n_interior_edges) < 0.5)
+        p = mesh.cell_pattern
+        nc = mesh.n_cells
+        rows = np.repeat(np.arange(nc), np.diff(p.indptr))
+        for i in range(nc):
+            assert list(p.indices[p.indptr[i]:p.indptr[i + 1]]) == sorted(
+                {i} | {int(b) for a, b in mesh.edge_cells if a == i}
+                | {int(a) for a, b in mesh.edge_cells if b == i})
+        k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        cells = np.arange(nc)
+        assert np.array_equal(rows[p.slots], np.concatenate((cells, k, k, l, l)))
+        assert np.array_equal(p.indices[p.slots],
+                              np.concatenate((cells, k, l, k, l)))
 
 
 def test_dump_roundtrip_counts(unit_square_mesh1):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksdg import (ModelParams, NewtonDivergenceError, NewtonSettings,
                   aupw_apply, build_structured_mesh, integrate_cellfield,
-                  pos_part, solve_u_step, u_step_jacobian, u_step_residual)
+                  pos_part, simulate, solve_u_step, u_step_jacobian,
+                  u_step_residual)
+from ksdg import simulation, ustep
+from ksdg.config import build_mesh, initial_fields, load_config
 from ksdg.ustep import _newton_direction, _residual_parts
 from ksdg.fields import project_p1_to_p0
 
@@ -202,7 +206,7 @@ class TestJacobian:
         v = rng.uniform(0.0, 1.0, mesh.n_vertices)
         pi0v = project_p1_to_p0(mesh, v)
         r1, r2, _ = _residual_parts(mesh, u, mu, u_old, pi0v, params, True)
-        du, dmu = _newton_direction(mesh, u, mu, r1, r2, params, True)
+        du, dmu, _, _ = _newton_direction(mesh, u, mu, r1, r2, params, True)
         jac = u_step_jacobian(mesh, u, mu, u_old, v, params)
         full = spla.spsolve(jac.tocsc(), -np.concatenate((r1, r2)))
         assert np.allclose(np.concatenate((du, dmu)), full,
@@ -293,3 +297,124 @@ class TestSolve:
             NewtonSettings(damping="midpoint")
         with pytest.raises(ValueError):
             NewtonSettings(max_iters=0)
+
+
+ONE_BULGE_16 = ("[mesh]\npattern = mesh1\nn = 16\n[params]\nt_end = 5e-6\n"
+                "[initial]\npreset = one_bulge\n")
+
+
+def one_bulge_setup():
+    cfg = load_config(ONE_BULGE_16)
+    mesh = build_mesh(cfg)
+    return (mesh, cfg.params) + initial_fields(cfg, mesh)
+
+
+def run_one_bulge(monkeypatch):
+    """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments of
+    every Newton direction solved and the stats of every step."""
+    mesh, params, u0, v0 = one_bulge_setup()
+    systems, stats = [], []
+    direction = ustep._newton_direction
+    step = simulation.solve_u_step
+
+    def record_direction(*args):
+        systems.append(args)
+        return direction(*args)
+
+    def record_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        stats.append(out[2])
+        return out
+
+    monkeypatch.setattr(ustep, "_newton_direction", record_direction)
+    monkeypatch.setattr(simulation, "solve_u_step", record_step)
+    for _ in simulate(mesh, params, u0, v0):
+        pass
+    monkeypatch.undo()
+    return systems, stats
+
+
+def schur_oracle(mesh, u, mu, r1, r2, params, truncated):
+    """``A + Fmu diag(k0/(u+eps))`` and ``-R1 + Fmu (R2/|K|)`` from the
+    sparse blocks of the full Jacobian, ``A = Fu + diag(|K|/dt)``."""
+    nc = mesh.n_cells
+    jac = u_step_jacobian(mesh, u, mu, u, np.zeros(mesh.n_vertices), params,
+                          truncated)
+    a, fm = jac[:nc, :nc], jac[:nc, nc:]
+    ratio = params.k0 / (u + params.eps)
+    return (a + fm @ sp.diags(ratio)).tocsr(), -r1 + fm @ (r2 / mesh.areas)
+
+
+def lu_direction(mesh, u, mu, r1, r2, params, truncated):
+    """Newton direction of the oracle Schur system, solved by LU."""
+    schur, rhs = schur_oracle(mesh, u, mu, r1, r2, params, truncated)
+    du = spla.splu(schur.tocsc()).solve(rhs)
+    dmu = -r2 / mesh.areas + params.k0 / (u + params.eps) * du
+    return du, dmu, 0, True
+
+
+def max_rel_diff(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestNewtonLinearSolve:
+    @pytest.mark.parametrize("pattern,n", [("mesh1", 4), ("mesh2", 3)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_pattern_assembly_matches_sparse_oracle(self, rng, pattern, n,
+                                                    truncated):
+        mesh = build_structured_mesh(pattern, n)
+        nc = mesh.n_cells
+        params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
+        u = rng.uniform(0.0, 2.0, nc)
+        u[::5] = 0.0                      # truncation kinks
+        if not truncated:
+            u[1::5] = -5e-3               # transported raw
+        mu = rng.normal(size=nc)
+        mu[::3] = 0.4                     # zero jumps
+        r1, r2 = rng.normal(size=nc), rng.normal(size=nc)
+        schur, rhs, _ = ustep._schur_system(mesh, u, mu, r1, r2, params,
+                                            truncated)
+        ref, ref_rhs = schur_oracle(mesh, u, mu, r1, r2, params, truncated)
+        assert max_rel_diff(schur.toarray(), ref.toarray()) <= 1e-14
+        assert max_rel_diff(rhs, ref_rhs) <= 1e-14
+
+    def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
+        systems, _ = run_one_bulge(monkeypatch)
+        assert len(systems) >= 5
+        for args in systems:
+            du, dmu, iterations, fallback = _newton_direction(*args)
+            ref_du, ref_dmu, _, _ = lu_direction(*args)
+            assert iterations > 0 and not fallback
+            assert max_rel_diff(du, ref_du) <= 1e-10
+            assert max_rel_diff(dmu, ref_dmu) <= 1e-10
+
+    def test_run_steps_need_no_lu(self, monkeypatch):
+        _, stats = run_one_bulge(monkeypatch)
+        assert len(stats) == 5
+        for s in stats:
+            assert s.lu_fallbacks == 0
+            assert s.linear_iterations >= s.iterations > 0
+
+    def test_krylov_failure_falls_back_to_lu(self, monkeypatch):
+        mesh, params, u0, v0 = one_bulge_setup()
+        with monkeypatch.context() as m:
+            m.setattr(ustep, "_newton_direction", lu_direction)
+            u_ref, _, ref_stats = solve_u_step(mesh, u0, v0, params)
+        monkeypatch.setattr(spla, "bicgstab",
+                            lambda a, b, **kwargs: (np.zeros_like(b), 1))
+        u, _, stats = solve_u_step(mesh, u0, v0, params)
+        assert stats.lu_fallbacks == stats.iterations == ref_stats.iterations
+        assert stats.lu_fallbacks >= 1
+        assert max_rel_diff(u, u_ref) <= 1e-12
+
+    def test_singular_system_raises_divergence(self, two_cell_mesh,
+                                               monkeypatch):
+        singular = sp.csr_matrix(np.ones((2, 2)))
+        monkeypatch.setattr(
+            ustep, "_schur_system",
+            lambda *args: (singular, np.array([1.0, 0.0]), np.ones(2)))
+        with pytest.raises(NewtonDivergenceError, match="singular") as info:
+            solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),
+                         v_with_cell_averages(2.0, -3.0),
+                         ModelParams(dt=1e-3, t_end=1e-3))
+        assert info.value.u is not None

@@ -20,8 +20,8 @@ from .vstep import (LinearSolveError, VStepSystem, assemble_v_system,
 from .ustep import (MassDriftError, NewtonDivergenceError, NewtonSettings,
                     NewtonStats, PositivityError, UStepError, aupw_apply,
                     solve_u_step, u_step_jacobian, u_step_residual)
-from .simulation import (DiagnosticsRow, RunResult, SimState,
-                         StepFailureError, energy, energy_eps,
+from .simulation import (DiagnosticsRow, EnergyLawError, RunResult,
+                         SimState, StepFailureError, energy, energy_eps,
                          energy_law_lhs, run, simulate)
 from .config import (ConfigError, PRESET_NAMES, RunConfig, dumps_config,
                      evaluate_terms, initial_fields, load_config,
@@ -42,7 +42,8 @@ __all__ = [
     "MassDriftError", "NewtonDivergenceError", "NewtonSettings",
     "NewtonStats", "PositivityError", "UStepError", "aupw_apply",
     "solve_u_step", "u_step_jacobian", "u_step_residual",
-    "DiagnosticsRow", "RunResult", "SimState", "StepFailureError",
+    "DiagnosticsRow", "EnergyLawError", "RunResult", "SimState",
+    "StepFailureError",
     "energy", "energy_eps", "energy_law_lhs", "run", "simulate",
     "ConfigError", "PRESET_NAMES", "RunConfig", "dumps_config",
     "evaluate_terms", "initial_fields", "load_config",

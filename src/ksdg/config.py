@@ -322,8 +322,6 @@ _SCHEMA = (
     ("output", "snapshot_times", None, "snapshot_times", _floats, _gs),
     ("newton", "tol_residual", "newton", "tol_residual", _float, _g),
     ("newton", "max_iters", "newton", "max_iters", _int, _d),
-    ("newton", "damping", "newton", "damping", str, str),
-    ("newton", "max_halvings", "newton", "max_halvings", _int, _d),
     ("scheme", "flux", None, "flux", str, str),
 )
 

@@ -60,6 +60,15 @@ class StepFailureError(RuntimeError):
         self.cause = cause
 
 
+class EnergyLawError(StepFailureError):
+    """A step broke the discrete energy law; ``old`` and ``new`` are the
+    states before and after it."""
+
+    def __init__(self, message, step, time, old, new):
+        super().__init__(message, step, time)
+        self.old, self.new = old, new
+
+
 @dataclass
 class SimState:
     """Solution snapshot after ``m`` accepted steps (``t = m * dt``)."""
@@ -215,7 +224,9 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
     ``u0`` must be nonnegative.  With ``tau = 1`` a nonnegative
     ``v0`` is required; with ``tau = 0`` the chemoattractant history is
     never read, so any supplied ``v0`` is discarded and the stored field
-    starts at zero.  Step failures raise ``StepFailureError``.
+    starts at zero.  Step failures raise ``StepFailureError``, and an
+    ``energy_law_lhs`` above ``ENERGY_LAW_RTOL * (1 + |E_eps|)`` its
+    subclass ``EnergyLawError``.
     """
     if not isinstance(params, ModelParams):
         raise TypeError("params must be a ModelParams")
@@ -277,6 +288,11 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
         new_energies = _energies(mesh, u_new, v_new, params)
         law = _energy_law_lhs(mesh, state, new_state, params, energies[1],
                               new_energies[1])
+        bound = ENERGY_LAW_RTOL * (1.0 + abs(new_energies[1]))
+        if law > bound:
+            raise EnergyLawError(
+                "energy law broken at step %d (t=%g): left-hand side %g "
+                "exceeds %g" % (m, t, law, bound), m, t, state, new_state)
         yield new_state, _make_row(mesh, new_state, new_energies, law,
                                    stats.iterations, stats.residual,
                                    stats.clamp, v_clamp)

@@ -20,13 +20,15 @@ discrete energy balance.  Since the unknowns are piecewise constant, the
 volume part of the transport form vanishes identically (cellwise
 gradients are zero) and only the edge sum remains.
 
-The coupled system is solved by a damped Newton method with an exact
-Jacobian.  Truncation kinks use one-sided derivatives: ``d pos(x)/dx`` is
-1 for ``x > 0`` and 0 otherwise, so Jacobian rows of inactive cells stay
-consistent.  Each Newton system is reduced to its Schur complement in
-``u``, assembled by one scatter onto the mesh's fixed cell-adjacency
-pattern, and solved by Jacobi-preconditioned BiCGSTAB; a sparse LU
-factorization takes over when the Krylov solve misses its tolerance.
+The second block is pointwise, so every Newton iterate sets ``mu(u)``
+exactly and a damped Newton method runs on ``u`` alone, for the mass
+balance.  Its exact Jacobian, the Schur complement ``A + Fmu *
+diag(k0/(u + eps))`` of the coupled one, is assembled by one scatter onto
+the mesh's fixed cell-adjacency pattern and solved by Jacobi-
+preconditioned BiCGSTAB, or by a sparse LU factorization when the Krylov
+solve misses its tolerance.  Truncation kinks use one-sided derivatives:
+``d pos(x)/dx`` is 1 for ``x > 0`` and 0 otherwise, so Jacobian rows of
+inactive cells stay consistent.
 """
 
 from dataclasses import dataclass
@@ -53,6 +55,9 @@ NEWTON_LINEAR_RTOL = 1e-12
 
 #: Krylov iterations after which a Newton system goes to the LU solve.
 NEWTON_LINEAR_MAXITER = 1000
+
+#: Step halvings the line search tries before it takes the best trial.
+NEWTON_MAX_HALVINGS = 10
 
 
 class UStepError(RuntimeError):
@@ -81,33 +86,26 @@ class MassDriftError(UStepError):
 class NewtonSettings:
     """Newton iteration controls.
 
-    ``tol_residual`` is an absolute tolerance on the max norm of the
-    residual.  Convergence is declared at
-    ``max(tol_residual, 16 * machine_eps * scale)`` where ``scale`` is the
-    largest round-off magnitude of the assembled residual rows (mass
-    term plus the cancellation scale of the edge fluxes): once the
+    ``tol_residual`` is an absolute tolerance on the max norm of the mass
+    balance.  Convergence is declared at ``max(tol_residual, 16 *
+    machine_eps * scale)`` where ``scale`` is the largest round-off
+    magnitude of the assembled rows (the mass term ``|K| (|u| + |uold|) /
+    dt`` plus the cancellation scale of the edge fluxes): once the
     transported density and the potential reach large magnitudes the
     residual cannot be evaluated below the round-off of its own terms,
-    and requiring less would loop forever.  ``damping`` is
-    ``"backtracking"`` (halve the step until the residual decreases, at
-    most ``max_halvings`` times) or ``"none"``; either way the step is
-    halved as needed to keep ``u + eps > 0``.
+    and requiring less would loop forever.  Each Newton step is halved
+    until the residual decreases, at most ``NEWTON_MAX_HALVINGS`` times,
+    and the best trial with ``u + eps > 0`` is taken.
     """
 
     tol_residual: float = 1e-10
     max_iters: int = 30
-    damping: str = "backtracking"
-    max_halvings: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.tol_residual < np.inf:
             raise ValueError("tol_residual must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.damping not in ("backtracking", "none"):
-            raise ValueError("damping must be 'backtracking' or 'none'")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
 
 
 @dataclass
@@ -152,36 +150,34 @@ def _flux_terms(mesh, u, mu, truncated):
         wk = u[k]
         wl = u[l]
     flux = w * (jp * wk - jn * wl)
-    return k, l, w, jm, jp, jn, wk, wl, flux
+    return k, l, w, jp, jn, wk, wl, flux
 
 
-def _residual_parts(mesh, u, mu, u_old, pi0v, params, truncated):
+def _mass_balance(mesh, u, mu, u_old, params, truncated):
+    """Mass-balance rows and the ``_flux_terms`` they were built from."""
+    terms = _flux_terms(mesh, u, mu, truncated)
+    k, l, flux = terms[0], terms[1], terms[-1]
     nc = mesh.n_cells
-    if np.min(u) + params.eps <= 0.0:
-        raise ValueError(
-            "u + eps has nonpositive entries (min %g); outside the domain "
-            "of the logarithm" % float(np.min(u)))
-    k, l, w, jm, jp, jn, wk, wl, flux = _flux_terms(mesh, u, mu, truncated)
-    mass_term = mesh.areas * (u - u_old) / params.dt
-    r1 = (mass_term
+    r1 = (mesh.areas * (u - u_old) / params.dt
           + np.bincount(k, weights=flux, minlength=nc)
           - np.bincount(l, weights=flux, minlength=nc))
-    log_term = params.k0 * np.log(u + params.eps)
-    r2 = mesh.areas * (mu - log_term + params.k1 * pi0v)
+    return r1, terms
 
-    # Round-off scale of the assembled rows.  The flux noise is dominated
-    # by the cancellation in the potential jump, whose absolute error is
-    # set by |mu| itself, amplified by the transported density; this
-    # bound also dominates |flux| since |[mu]| <= |mu_K| + |mu_L|.
+
+def _roundoff_scale(mesh, u, mu, u_old, terms, params):
+    """Largest round-off magnitude of the mass-balance rows."""
+    k, l, w, *_, wk, wl, _ = terms
+    # u - u_old rounds at the size of its operands.  The flux noise is
+    # dominated by the cancellation in the potential jump, whose absolute
+    # error is set by |mu| itself, amplified by the transported density;
+    # this bound also dominates |flux| since |[mu]| <= |mu_K| + |mu_L|.
     fscale = w * (np.abs(mu[k]) + np.abs(mu[l])) * np.maximum(np.abs(wk),
                                                               np.abs(wl))
-    scale1 = (np.abs(mass_term)
-              + np.bincount(k, weights=fscale, minlength=nc)
-              + np.bincount(l, weights=fscale, minlength=nc))
-    scale2 = mesh.areas * (np.abs(mu) + np.abs(log_term)
-                           + params.k1 * np.abs(pi0v))
-    scale = max(float(scale1.max()), float(scale2.max()))
-    return r1, r2, scale
+    nc = mesh.n_cells
+    scale = (mesh.areas * (np.abs(u) + np.abs(u_old)) / params.dt
+             + np.bincount(k, weights=fscale, minlength=nc)
+             + np.bincount(l, weights=fscale, minlength=nc))
+    return float(scale.max())
 
 
 def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
@@ -197,26 +193,27 @@ def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     mu_new = _check_cellfield(mesh, mu_new, "mu_new")
     u_old = _check_cellfield(mesh, u_old, "u_old")
     pi0v = project_p1_to_p0(mesh, _check_nodefield(mesh, v_new, "v_new"))
-    r1, r2, _ = _residual_parts(mesh, u_new, mu_new, u_old, pi0v, params,
-                                truncated)
+    if np.min(u_new) + params.eps <= 0.0:
+        raise ValueError(
+            "u + eps has nonpositive entries (min %g); outside the domain "
+            "of the logarithm" % float(np.min(u_new)))
+    r1, _ = _mass_balance(mesh, u_new, mu_new, u_old, params, truncated)
+    r2 = mesh.areas * (mu_new - params.k0 * np.log(u_new + params.eps)
+                       + params.k1 * pi0v)
     return np.concatenate((r1, r2))
 
 
-def _flux_derivatives(mesh, u, mu, truncated):
+def _flux_derivatives(terms, truncated):
     """Edge cells and the derivatives of each edge flux with respect to
     ``u_K``, ``u_L`` and the jump ``[mu]``, with the kink conventions of
-    ``u_step_jacobian``."""
-    k, l, w, jm, jp, jn, wk, wl, flux = _flux_terms(mesh, u, mu, truncated)
-    if truncated:
-        hk = (u[k] > 0.0).astype(float)
-        hl = (u[l] > 0.0).astype(float)
-    else:
-        hk = np.ones_like(wk)
-        hl = np.ones_like(wl)
+    ``u_step_jacobian``; ``terms`` come from ``_flux_terms``."""
+    k, l, w, jp, jn, wk, wl, _ = terms
+    # the truncated weight max(u, 0) is positive exactly where u is
+    hk, hl = (wk > 0.0, wl > 0.0) if truncated else (1.0, 1.0)
     df_duk = w * jp * hk
     df_dul = -w * jn * hl
     # derivative of the jump parts; the subgradient at [mu] = 0 is 0
-    df_djm = w * ((jm > 0.0) * wk + (jm < 0.0) * wl)
+    df_djm = w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
     return k, l, df_duk, df_dul, df_djm
 
 
@@ -232,8 +229,8 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     _check_cellfield(mesh, u_old, "u_old")
     _check_nodefield(mesh, v_new, "v_new")
     nc = mesh.n_cells
-    k, l, df_duk, df_dul, df_djm = _flux_derivatives(mesh, u_new, mu_new,
-                                                     truncated)
+    k, l, df_duk, df_dul, df_djm = _flux_derivatives(
+        _flux_terms(mesh, u_new, mu_new, truncated), truncated)
     rows = np.concatenate((k, k, l, l))
     cols = np.concatenate((k, l, k, l))
     data_u = np.concatenate((df_duk, df_dul, -df_duk, -df_dul))
@@ -246,33 +243,27 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
                     [sp.diags(-dlog), sp.diags(mesh.areas)]]).tocsr()
 
 
-def _schur_system(mesh, u, mu, r1, r2, params, truncated):
-    """Schur matrix on ``mesh.cell_pattern``, its right-hand side, and
-    ``k0 / (u + eps)``.
+def _schur_system(mesh, u, terms, params, truncated):
+    """Jacobian of the mass balance in ``u`` with ``mu = mu(u)``, on
+    ``mesh.cell_pattern``; ``terms`` are the ``_flux_terms`` at ``u``.
 
-    Edge ``e = (K, L)`` adds ``a_KK = dF/du_K + dF/d[mu] * k0/(u_K+eps)``
-    to ``(K, K)`` and ``-a_KK`` to ``(L, K)``, ``a_KL = dF/du_L - dF/d[mu]
-    * k0/(u_L+eps)`` to ``(K, L)`` and ``-a_KL`` to ``(L, L)``; the
-    diagonal also holds ``|K|/dt``.
+    This is the Schur complement ``A + Fmu * diag(k0/(u+eps))`` of the
+    coupled Jacobian.  Edge ``e = (K, L)`` adds ``a_KK = dF/du_K +
+    dF/d[mu] * k0/(u_K+eps)`` to ``(K, K)`` and ``-a_KK`` to ``(L, K)``,
+    ``a_KL = dF/du_L - dF/d[mu] * k0/(u_L+eps)`` to ``(K, L)`` and
+    ``-a_KL`` to ``(L, L)``; the diagonal also holds ``|K|/dt``.
     """
-    nc = mesh.n_cells
-    k, l, df_duk, df_dul, df_djm = _flux_derivatives(mesh, u, mu, truncated)
+    k, l, a_kk, a_kl, df_djm = _flux_derivatives(terms, truncated)
     ratio = params.k0 / (u + params.eps)
-    a_kk = df_duk + df_djm * ratio[k]
-    a_kl = df_dul - df_djm * ratio[l]
+    a_kk += df_djm * ratio[k]
+    a_kl -= df_djm * ratio[l]
     pattern = mesh.cell_pattern
     data = np.bincount(pattern.slots,
                        weights=np.concatenate((mesh.areas / params.dt, a_kk,
                                                a_kl, -a_kk, -a_kl)),
                        minlength=len(pattern.indices))
-    schur = sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                          shape=(nc, nc))
-    # Fmu (R2 / |K|), edge by edge
-    y = r2 / mesh.areas
-    t = df_djm * (y[k] - y[l])
-    rhs = (-r1 + np.bincount(k, weights=t, minlength=nc)
-           - np.bincount(l, weights=t, minlength=nc))
-    return schur, rhs, ratio
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(mesh.n_cells, mesh.n_cells))
 
 
 def _krylov_solve(schur, rhs, diagonal):
@@ -298,21 +289,18 @@ def _krylov_solve(schur, rhs, diagonal):
     return x, iterations
 
 
-def _newton_direction(mesh, u, mu, r1, r2, params, truncated):
-    """Solve the Newton system via the exact Schur complement in u.
+def _newton_direction(mesh, u, mu, r1, terms, params, truncated):
+    """Newton step ``J du = -r1`` of the mass balance at ``u``, ``mu(u)``.
 
-    The potential block is diagonal, so eliminating ``d_mu`` gives
-    ``(A + Fmu * diag(k0/(u+eps))) d_u = -R1 + Fmu (R2 / |K|)`` and
-    ``d_mu = -R2/|K| + k0/(u+eps) * d_u``, at half the size of the full
-    system.  The Schur matrix is a nonsingular M-matrix when the flux is
-    truncated: its columns sum to ``|K|/dt`` and its off-diagonal
-    entries are nonpositive.  It is solved with Jacobi-preconditioned
-    BiCGSTAB; a sparse LU factorization solves it instead when the
-    Krylov solve misses ``NEWTON_LINEAR_RTOL`` on the true residual.
+    ``J`` (``_schur_system``) is a nonsingular M-matrix when the flux is
+    truncated: its columns sum to ``|K|/dt`` and its off-diagonal entries
+    are nonpositive.  It is solved with Jacobi-preconditioned BiCGSTAB; a
+    sparse LU factorization solves it instead when the Krylov solve
+    misses ``NEWTON_LINEAR_RTOL`` on the true residual.
 
-    Returns ``(du, dmu, krylov_iterations, lu_fallback)``.
+    Returns ``(du, krylov_iterations, lu_fallback)``.
     """
-    schur, rhs, ratio = _schur_system(mesh, u, mu, r1, r2, params, truncated)
+    schur, rhs = _schur_system(mesh, u, terms, params, truncated), -r1
     diagonal = schur.diagonal()
     du, iterations = None, 0
     if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
@@ -324,8 +312,7 @@ def _newton_direction(mesh, u, mu, r1, r2, params, truncated):
         except RuntimeError as exc:      # singular factorization
             raise NewtonDivergenceError("Newton linear system is singular: "
                                         "%s" % exc, u=u, mu=mu) from exc
-    dmu = -r2 / mesh.areas + ratio * du
-    return du, dmu, iterations, fallback
+    return du, iterations, fallback
 
 
 def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
@@ -360,48 +347,44 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
                          % float(np.min(u_old)))
     pi0v = project_p1_to_p0(mesh, _check_nodefield(mesh, v_new, "v_new"))
 
-    # Initial guess: keep the density, make the potential relation exact.
-    u = u_old.copy()
-    mu = params.k0 * np.log(u + params.eps) - params.k1 * pi0v
+    def trial(uu):
+        """``(rnorm, u, mu, r1, terms)`` at ``uu`` with ``mu = mu(uu)``."""
+        mm = params.k0 * np.log(uu + params.eps) - params.k1 * pi0v
+        r1, terms = _mass_balance(mesh, uu, mm, u_old, params, truncated)
+        return float(np.max(np.abs(r1))), uu, mm, r1, terms
 
-    def norm_and_scale(uu, mm):
-        r1, r2, scale = _residual_parts(mesh, uu, mm, u_old, pi0v, params,
-                                        truncated)
-        rnorm = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-        return r1, r2, rnorm, scale
-
-    r1, r2, rnorm, scale = norm_and_scale(u, mu)
+    # Initial guess: keep the density.
+    rnorm, u, mu, r1, terms = trial(u_old.copy())
     stats = NewtonStats(0, rnorm, False)
-    while rnorm > max(settings.tol_residual, 16.0 * _EPS * scale):
+    while rnorm > max(settings.tol_residual, 16.0 * _EPS * _roundoff_scale(
+            mesh, u, mu, u_old, terms, params)):
         if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
-        du, dmu, krylov, fallback = _newton_direction(mesh, u, mu, r1, r2,
-                                                      params, truncated)
+        du, krylov, fallback = _newton_direction(mesh, u, mu, r1, terms,
+                                                 params, truncated)
         stats.linear_iterations += krylov
         stats.lu_fallbacks += fallback
 
-        best = None  # (rnorm, u, mu, r1, r2, scale) of the best trial
-        lam = 1.0
-        for _ in range(settings.max_halvings + 1):
-            u_try = u + lam * du
-            mu_try = mu + lam * dmu
+        best = None
+        for halvings in range(NEWTON_MAX_HALVINGS + 1):
+            u_try = u + 0.5 ** halvings * du
             if np.min(u_try) + params.eps > 0.0:
-                r1_t, r2_t, rnorm_t, scale_t = norm_and_scale(u_try, mu_try)
-                if best is None or rnorm_t < best[0]:
-                    best = (rnorm_t, u_try, mu_try, r1_t, r2_t, scale_t)
-                if settings.damping == "none" or rnorm_t < rnorm:
+                candidate = trial(u_try)
+                if best is None or candidate[0] < best[0]:
+                    best = candidate
+                if candidate[0] < rnorm:
                     break
-            lam *= 0.5
         if best is None:
             raise NewtonDivergenceError(
                 "no admissible Newton step after %d halvings (u + eps must "
-                "stay positive)" % settings.max_halvings,
+                "stay positive)" % NEWTON_MAX_HALVINGS,
                 u=u, mu=mu, stats=stats)
         # Accept the best admissible trial even if the residual did not
         # decrease; the truncation kinks make strict descent too rigid.
-        rnorm, u, mu, r1, r2, scale = best
+        rnorm, u, mu, r1, terms = best
+        best = candidate = u_try = None     # free a rejected last trial
         stats.iterations += 1
         stats.residual = rnorm
 

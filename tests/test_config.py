@@ -82,11 +82,15 @@ class TestParsing:
         assert cfg.n == 8
 
     def test_newton_settings_parsed(self):
-        cfg = load_config("[newton]\ntol_residual = 1e-8\nmax_iters = 12\n"
-                          "damping = none\n")
+        cfg = load_config("[newton]\ntol_residual = 1e-8\nmax_iters = 12\n")
         assert cfg.newton.tol_residual == 1e-8
         assert cfg.newton.max_iters == 12
-        assert cfg.newton.damping == "none"
+
+    @pytest.mark.parametrize("key", ["damping = none", "max_halvings = 10"])
+    def test_removed_newton_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            load_config("[mesh]\nn = 8\n[newton]\n%s\n" % key)
+        assert info.value.line == 4
 
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
@@ -97,11 +101,11 @@ class TestParsing:
     @pytest.mark.parametrize("text,line", [
         ("[params]\nk0 = -1\n", 2),
         ("[params]\ntau = 1\nk0 = -1\n", 3),
-        ("[newton]\nmax_iters = 0\ndamping = none\n", 2),
+        ("[newton]\nmax_iters = 0\ntol_residual = 1e-8\n", 2),
         ("[mesh]\npattern = hexes\n", 2),
         ("[mesh]\nn = 0\n", 2),
         ("[params]\nt_end = 1e-5\n[output]\nsnapshot_times = 0 1e-3\n", 4),
-        ("[initial]\npreset = one_bulge\n[newton]\ndamping = wild\n", 4),
+        ("[initial]\npreset = one_bulge\n[newton]\nmax_iters = 0\n", 4),
         ("[params]\nt_end = inf\n", 2),
         ("[params]\nk3 = inf\n", 2),
         ("[params]\neps = inf\n", 2),
@@ -169,9 +173,7 @@ def run_configs(draw):
         t_end=st.integers(min_value=1, max_value=10**6).map(lambda k: k * dt)))
     newton = draw(st.builds(
         NewtonSettings, tol_residual=_positive,
-        max_iters=st.integers(min_value=1),
-        damping=st.sampled_from(["backtracking", "none"]),
-        max_halvings=st.integers(min_value=0)))
+        max_iters=st.integers(min_value=1)))
     times = st.floats(min_value=0.0, max_value=params.t_end)
     # whole multiples of a square side with 21 significant bits are exact,
     # so the rectangle is tiled exactly; mesh1 tiles in 2x2 blocks

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ksdg import (ModelParams, NewtonSettings, SimState, StepFailureError,
-                  build_structured_mesh, energy, energy_eps, energy_law_lhs,
-                  integrate_cellfield, p1_gradients, p1_square_integral,
-                  pos_part, simulate)
-from ksdg.ustep import aupw_apply
+from ksdg import (EnergyLawError, ModelParams, NewtonSettings, SimState,
+                  StepFailureError, build_structured_mesh, energy, energy_eps,
+                  energy_law_lhs, integrate_cellfield, p1_gradients,
+                  p1_square_integral, pos_part, simulate)
+from ksdg import simulation
+from ksdg.config import PRESET_NAMES, build_mesh, initial_fields, load_config
+from ksdg.simulation import ENERGY_LAW_RTOL
+from ksdg.ustep import MASS_RTOL, aupw_apply
 
 # 6-point triangle rule, exact through degree 4: enough for every term of
 # the energy density on the discrete spaces (at most quadratic).
@@ -243,3 +248,40 @@ class TestSimulate:
         rows_r = [r for _, r in simulate(mesh, p, u0 + 1.0, v0,
                                          truncated=False)]
         assert rows_t == rows_r
+
+    def test_energy_law_violation_raises(self, monkeypatch):
+        mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
+        p = ModelParams(dt=1e-6, t_end=3e-6)
+        monkeypatch.setattr(
+            simulation, "_energy_law_lhs",
+            lambda *args: 2.0 * ENERGY_LAW_RTOL * (1.0 + abs(args[-1])))
+        with pytest.raises(EnergyLawError, match="energy law") as info:
+            list(simulate(mesh, p, u0, v0))
+        err = info.value
+        assert isinstance(err, StepFailureError)
+        assert err.step == 1 and err.time == pytest.approx(1e-6)
+        assert (err.old.m, err.new.m) == (0, 1)
+        assert np.array_equal(err.old.u, u0)
+        assert err.new.u.shape == u0.shape and err.new.mu is not None
+
+
+@pytest.mark.parametrize("dt", [1e-7, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("flux", ["truncated", "non_truncated"])
+@pytest.mark.parametrize("pattern", ["mesh1", "mesh2"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_five_preset_steps_keep_the_guarantees(preset, pattern, flux, dt):
+    # the scheme is well posed at every dt; Newton must not abort
+    cfg = load_config("[mesh]\npattern = %s\nn = 8\n[params]\ndt = %r\n"
+                      "t_end = %r\n[initial]\npreset = %s\n[scheme]\n"
+                      "flux = %s\n" % (pattern, dt, 5 * dt, preset, flux))
+    mesh = build_mesh(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "v0 unused" advisory
+        u0, v0 = initial_fields(cfg, mesh)
+    rows = [r for _, r in simulate(mesh, cfg.params, u0, v0,
+                                   truncated=(flux == "truncated"))]
+    assert len(rows) == 6
+    for a, b in zip(rows, rows[1:]):
+        assert abs(b.mass - a.mass) <= MASS_RTOL * a.mass
+        assert b.min_u >= 0.0 and b.min_v >= 0.0
+        assert b.energy_law_lhs <= ENERGY_LAW_RTOL * (1.0 + abs(b.E_eps))

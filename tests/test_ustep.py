@@ -9,7 +9,7 @@ from ksdg import (ModelParams, NewtonDivergenceError, NewtonSettings,
                   u_step_residual)
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
-from ksdg.ustep import _newton_direction, _residual_parts
+from ksdg.ustep import _mass_balance, _newton_direction
 from ksdg.fields import project_p1_to_p0
 
 from conftest import flip_edges
@@ -197,20 +197,22 @@ class TestJacobian:
         assert jac[2, 2] == pytest.approx(area)
 
     def test_schur_direction_matches_full_solve(self, rng):
+        # at mu = mu(u) the density-only Newton step is the u-block of the
+        # Newton step of the coupled system
         mesh = build_structured_mesh("mesh2", 3, (0, 1, 0, 1))
         nc = mesh.n_cells
         params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
         u = rng.uniform(0.5, 1.5, nc)
-        mu = rng.uniform(-1.0, 1.0, nc)
         u_old = rng.uniform(0.2, 1.0, nc)
         v = rng.uniform(0.0, 1.0, mesh.n_vertices)
         pi0v = project_p1_to_p0(mesh, v)
-        r1, r2, _ = _residual_parts(mesh, u, mu, u_old, pi0v, params, True)
-        du, dmu, _, _ = _newton_direction(mesh, u, mu, r1, r2, params, True)
+        mu = params.k0 * np.log(u + params.eps) - params.k1 * pi0v
+        r1, terms = _mass_balance(mesh, u, mu, u_old, params, True)
+        du, _, _ = _newton_direction(mesh, u, mu, r1, terms, params, True)
         jac = u_step_jacobian(mesh, u, mu, u_old, v, params)
-        full = spla.spsolve(jac.tocsc(), -np.concatenate((r1, r2)))
-        assert np.allclose(np.concatenate((du, dmu)), full,
-                           rtol=1e-11, atol=1e-12)
+        full = spla.spsolve(jac.tocsc(), -u_step_residual(mesh, u, mu, u_old,
+                                                          v, params))
+        assert np.allclose(du, full[:nc], rtol=1e-11, atol=1e-12)
 
 
 class TestSolve:
@@ -290,11 +292,43 @@ class TestSolve:
         assert err.u is not None and err.u.shape == (2,)
         assert err.stats is not None and not err.stats.converged
 
+    @pytest.mark.parametrize("dt", [1e-4, 3e-4])
+    def test_collapse_step_at_large_dt(self, dt):
+        # corner densities start near 1e-19 with eps = 1e-10, so a full
+        # Newton step easily leaves u + eps > 0; the step is well posed
+        cfg = load_config("[mesh]\npattern = mesh1\nn = 32\n[params]\n"
+                          "dt = %r\nt_end = %r\n[initial]\n"
+                          "preset = one_bulge\n" % (dt, dt))
+        mesh = build_mesh(cfg)
+        u0, v0 = initial_fields(cfg, mesh)
+        rows = [r for _, r in simulate(mesh, cfg.params, u0, v0)]
+        assert len(rows) == 2
+        assert 0 < rows[1].newton_iters <= cfg.newton.max_iters
+        assert rows[1].min_u >= 0.0
+
+    def test_each_trial_evaluates_the_flux_once(self, monkeypatch):
+        mesh, params, u0, v0 = one_bulge_setup()
+        calls = {"flux": 0, "trial": 0}
+        flux_terms, mass_balance = ustep._flux_terms, ustep._mass_balance
+
+        def count_flux(*args):
+            calls["flux"] += 1
+            return flux_terms(*args)
+
+        def count_trial(*args):
+            calls["trial"] += 1
+            return mass_balance(*args)
+
+        monkeypatch.setattr(ustep, "_flux_terms", count_flux)
+        monkeypatch.setattr(ustep, "_mass_balance", count_trial)
+        _, _, stats = solve_u_step(mesh, u0, v0, params)
+        assert stats.iterations > 0
+        assert calls["trial"] > stats.iterations
+        assert calls["flux"] == calls["trial"]
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             NewtonSettings(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(damping="midpoint")
         with pytest.raises(ValueError):
             NewtonSettings(max_iters=0)
 
@@ -334,23 +368,21 @@ def run_one_bulge(monkeypatch):
     return systems, stats
 
 
-def schur_oracle(mesh, u, mu, r1, r2, params, truncated):
-    """``A + Fmu diag(k0/(u+eps))`` and ``-R1 + Fmu (R2/|K|)`` from the
-    sparse blocks of the full Jacobian, ``A = Fu + diag(|K|/dt)``."""
+def schur_oracle(mesh, u, mu, params, truncated):
+    """``A + Fmu diag(k0/(u+eps))`` from the sparse blocks of the full
+    Jacobian, ``A = Fu + diag(|K|/dt)``."""
     nc = mesh.n_cells
     jac = u_step_jacobian(mesh, u, mu, u, np.zeros(mesh.n_vertices), params,
                           truncated)
     a, fm = jac[:nc, :nc], jac[:nc, nc:]
     ratio = params.k0 / (u + params.eps)
-    return (a + fm @ sp.diags(ratio)).tocsr(), -r1 + fm @ (r2 / mesh.areas)
+    return (a + fm @ sp.diags(ratio)).tocsr()
 
 
-def lu_direction(mesh, u, mu, r1, r2, params, truncated):
+def lu_direction(mesh, u, mu, r1, terms, params, truncated):
     """Newton direction of the oracle Schur system, solved by LU."""
-    schur, rhs = schur_oracle(mesh, u, mu, r1, r2, params, truncated)
-    du = spla.splu(schur.tocsc()).solve(rhs)
-    dmu = -r2 / mesh.areas + params.k0 / (u + params.eps) * du
-    return du, dmu, 0, True
+    schur = schur_oracle(mesh, u, mu, params, truncated)
+    return spla.splu(schur.tocsc()).solve(-r1), 0, True
 
 
 def max_rel_diff(got, ref):
@@ -371,22 +403,19 @@ class TestNewtonLinearSolve:
             u[1::5] = -5e-3               # transported raw
         mu = rng.normal(size=nc)
         mu[::3] = 0.4                     # zero jumps
-        r1, r2 = rng.normal(size=nc), rng.normal(size=nc)
-        schur, rhs, _ = ustep._schur_system(mesh, u, mu, r1, r2, params,
-                                            truncated)
-        ref, ref_rhs = schur_oracle(mesh, u, mu, r1, r2, params, truncated)
+        terms = ustep._flux_terms(mesh, u, mu, truncated)
+        schur = ustep._schur_system(mesh, u, terms, params, truncated)
+        ref = schur_oracle(mesh, u, mu, params, truncated)
         assert max_rel_diff(schur.toarray(), ref.toarray()) <= 1e-14
-        assert max_rel_diff(rhs, ref_rhs) <= 1e-14
 
     def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         for args in systems:
-            du, dmu, iterations, fallback = _newton_direction(*args)
-            ref_du, ref_dmu, _, _ = lu_direction(*args)
+            du, iterations, fallback = _newton_direction(*args)
+            ref_du, _, _ = lu_direction(*args)
             assert iterations > 0 and not fallback
             assert max_rel_diff(du, ref_du) <= 1e-10
-            assert max_rel_diff(dmu, ref_dmu) <= 1e-10
 
     def test_run_steps_need_no_lu(self, monkeypatch):
         _, stats = run_one_bulge(monkeypatch)
@@ -412,7 +441,7 @@ class TestNewtonLinearSolve:
         singular = sp.csr_matrix(np.ones((2, 2)))
         monkeypatch.setattr(
             ustep, "_schur_system",
-            lambda *args: (singular, np.array([1.0, 0.0]), np.ones(2)))
+            lambda *args: singular)
         with pytest.raises(NewtonDivergenceError, match="singular") as info:
             solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),
                          v_with_cell_averages(2.0, -3.0),

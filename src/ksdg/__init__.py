@@ -10,8 +10,8 @@ with mass lumping.
 """
 
 from .mesh import (MESH1, MESH2, HypothesesReport, MeshError, TriMesh,
-                   build_structured_mesh, dump_mesh, edge_distance,
-                   pattern_edge_distance, verify_hypotheses)
+                   build_structured_mesh, edge_distance, pattern_edge_distance,
+                   verify_hypotheses)
 from .fields import (ModelParams, edge_jumps, integrate_cellfield, jump,
                      neg_part, p1_gradients, p1_integral, p1_square_integral,
                      pos_part, project_p0_to_p1_lumped, project_p1_to_p0)
@@ -26,14 +26,14 @@ from .simulation import (DiagnosticsRow, EnergyLawError, RunResult,
 from .config import (ConfigError, PRESET_NAMES, RunConfig, dumps_config,
                      evaluate_terms, initial_fields, load_config,
                      preset_initial_conditions)
-from .output import (CSV_HEADER, read_diagnostics_csv, write_diagnostics_csv,
-                     write_vtk_snapshot)
+from .output import (CSV_HEADER, dump_mesh, read_diagnostics_csv,
+                     write_diagnostics_csv, write_vtk_snapshot)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MESH1", "MESH2", "HypothesesReport", "MeshError", "TriMesh",
-    "build_structured_mesh", "dump_mesh", "edge_distance",
+    "build_structured_mesh", "edge_distance",
     "pattern_edge_distance", "verify_hypotheses",
     "ModelParams", "edge_jumps", "integrate_cellfield", "jump", "neg_part",
     "p1_gradients", "p1_integral", "p1_square_integral", "pos_part",
@@ -48,6 +48,6 @@ __all__ = [
     "ConfigError", "PRESET_NAMES", "RunConfig", "dumps_config",
     "evaluate_terms", "initial_fields", "load_config",
     "preset_initial_conditions",
-    "CSV_HEADER", "read_diagnostics_csv", "write_diagnostics_csv",
-    "write_vtk_snapshot",
+    "CSV_HEADER", "dump_mesh", "read_diagnostics_csv",
+    "write_diagnostics_csv", "write_vtk_snapshot",
 ]

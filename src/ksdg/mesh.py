@@ -462,46 +462,3 @@ def verify_hypotheses(mesh, tol=HYPOTHESIS_TOL):
         angle_violation=angle_excess,
     )
 
-
-def dump_mesh(mesh, target):
-    """Write a plain-text mesh dump for debugging.
-
-    Format: a header line, then ``vertices <nv>`` followed by one
-    ``x y`` line per vertex, ``triangles <nt>`` with ``a b c`` lines,
-    ``interior_edges <ne>`` with ``a b K L |e| nx ny D`` lines and
-    ``boundary_edges <nb>`` with ``a b K |e| nx ny`` lines.
-
-    ``target`` may be a path or an open text file.
-    """
-    if hasattr(target, "write"):
-        _write_dump(mesh, target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _write_dump(mesh, fh)
-
-
-def _write_dump(mesh, fh):
-    fh.write("# triangular mesh dump\n")
-    fh.write("pattern %s\n" % (mesh.pattern or "custom"))
-    fh.write("square_side %s\n"
-             % ("none" if mesh.square_side is None else repr(mesh.square_side)))
-    fh.write("vertices %d\n" % mesh.n_vertices)
-    for x, y in mesh.vertices:
-        fh.write("%.17g %.17g\n" % (x, y))
-    fh.write("triangles %d\n" % mesh.n_cells)
-    for a, b, c in mesh.triangles:
-        fh.write("%d %d %d\n" % (a, b, c))
-    fh.write("interior_edges %d\n" % mesh.n_interior_edges)
-    for i in range(mesh.n_interior_edges):
-        a, b = mesh.edge_vertices[i]
-        k, l = mesh.edge_cells[i]
-        nx, ny = mesh.edge_normals[i]
-        fh.write("%d %d %d %d %.17g %.17g %.17g %.17g\n"
-                 % (a, b, k, l, mesh.edge_lengths[i], nx, ny,
-                    mesh.edge_dists[i]))
-    fh.write("boundary_edges %d\n" % mesh.n_boundary_edges)
-    for i in range(mesh.n_boundary_edges):
-        a, b = mesh.bedge_vertices[i]
-        nx, ny = mesh.bedge_normals[i]
-        fh.write("%d %d %d %.17g %.17g %.17g\n"
-                 % (a, b, mesh.bedge_cell[i], mesh.bedge_lengths[i], nx, ny))

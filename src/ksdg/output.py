@@ -1,8 +1,12 @@
-"""Diagnostics CSV and legacy-format VTK snapshot output.
+"""Diagnostics CSV, legacy-format VTK snapshots and the plain-text mesh dump.
 
-The CSV schema is fixed: the header is exactly ``CSV_HEADER`` and every
-value is written with 17 significant digits, so reloading reproduces the
-floating-point values bit for bit.
+Every reader and writer here takes a file path.  Each section of a file
+is formatted in blocks of ``CHUNK_ROWS`` rows by one ``%`` on a repeated
+line template, which yields the same bytes as one ``%`` per line.
+
+The CSV schema is fixed by one column table: the header is exactly
+``CSV_HEADER`` and every float is written with 17 significant digits, so
+reloading reproduces the floating-point values bit for bit.
 
 Snapshots use the legacy ASCII VTK unstructured-grid format so files can
 be opened by standard viewers and diffed as text.  Points are the mesh
@@ -10,57 +14,63 @@ vertices, cells the triangles; the file carries the cell density both as
 cell data (``u_p0``, the native representation) and as point data
 (``u_p1``, the positivity-preserving lumped vertex average used for
 plotting), plus the chemoattractant ``v`` as point data.
+
+The mesh dump lists the vertices, triangles and the interior and
+boundary edge data with their normals, lengths and barycenter distances
+(see ``dump_mesh``); it is meant for debugging connectivity by eye.
 """
 
 import numpy as np
 
 from .fields import project_p0_to_p1_lumped
 
-CSV_HEADER = ("step,time,mass,min_u,max_u,min_v,max_v,E,E_eps,"
-              "energy_law_lhs,newton_iters,newton_residual")
+#: Rows formatted by one ``%``.  Bounds the Python objects and the text
+#: alive at once: one block per section of a mesh2 n=128 snapshot raised
+#: the peak RSS of a 3-step run by 4.5%.
+CHUNK_ROWS = 4096
+
+#: Diagnostics CSV columns in file order, with the type of each value.
+_CSV_COLUMNS = (
+    ("step", int), ("time", float), ("mass", float), ("min_u", float),
+    ("max_u", float), ("min_v", float), ("max_v", float), ("E", float),
+    ("E_eps", float), ("energy_law_lhs", float), ("newton_iters", int),
+    ("newton_residual", float),
+)
+
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+_CSV_LINE = ",".join("%d" if kind is int else "%.17g"
+                     for _, kind in _CSV_COLUMNS) + "\n"
 
 
-def _format_row(row):
-    return ",".join((
-        "%d" % row.step,
-        "%.17g" % row.time,
-        "%.17g" % row.mass,
-        "%.17g" % row.min_u,
-        "%.17g" % row.max_u,
-        "%.17g" % row.min_v,
-        "%.17g" % row.max_v,
-        "%.17g" % row.E,
-        "%.17g" % row.E_eps,
-        "%.17g" % row.energy_law_lhs,
-        "%d" % row.newton_iters,
-        "%.17g" % row.newton_residual,
-    ))
+def _write_rows(fh, line, *columns):
+    """Write ``line % row`` for every row of ``columns`` placed side by side.
+
+    ``columns`` are arrays with one row per leading index; integer
+    columns stacked with float ones are exact below 2**53, and ``%d``
+    prints them unchanged.
+    """
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        block = np.column_stack([c[start:stop] for c in columns])
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def write_diagnostics_csv(rows, target):
-    """Write diagnostics rows to ``target`` (path or open text file)."""
-    if hasattr(target, "write"):
-        _write_csv(rows, target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _write_csv(rows, fh)
+def write_diagnostics_csv(rows, path):
+    """Write diagnostics rows to the CSV file at ``path``."""
+    table = np.array([[getattr(row, name) for name, _ in _CSV_COLUMNS]
+                      for row in rows], dtype=object)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        _write_rows(fh, _CSV_LINE, table)
 
 
-def _write_csv(rows, fh):
-    fh.write(CSV_HEADER + "\n")
-    for row in rows:
-        fh.write(_format_row(row) + "\n")
-
-
-def read_diagnostics_csv(target):
+def read_diagnostics_csv(path):
     """Read a diagnostics CSV back into ``DiagnosticsRow`` objects."""
     from .simulation import DiagnosticsRow
 
-    if hasattr(target, "read"):
-        lines = target.read().splitlines()
-    else:
-        with open(target, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a diagnostics CSV (unexpected header)")
     rows = []
@@ -68,27 +78,15 @@ def read_diagnostics_csv(target):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 12:
+        if len(parts) != len(_CSV_COLUMNS):
             raise ValueError("malformed diagnostics row: %r" % line)
-        rows.append(DiagnosticsRow(
-            step=int(parts[0]),
-            time=float(parts[1]),
-            mass=float(parts[2]),
-            min_u=float(parts[3]),
-            max_u=float(parts[4]),
-            min_v=float(parts[5]),
-            max_v=float(parts[6]),
-            E=float(parts[7]),
-            E_eps=float(parts[8]),
-            energy_law_lhs=float(parts[9]),
-            newton_iters=int(parts[10]),
-            newton_residual=float(parts[11]),
-        ))
+        rows.append(DiagnosticsRow(**{name: kind(text) for (name, kind), text
+                                      in zip(_CSV_COLUMNS, parts)}))
     return rows
 
 
 def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
-    """Write one legacy ASCII VTK snapshot of a state.
+    """Write one legacy ASCII VTK snapshot of a state to ``path``.
 
     ``u`` is a cell field, ``v`` a vertex field.  See the module
     docstring for the arrays carried by the file.
@@ -104,26 +102,45 @@ def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
     u_p1 = project_p0_to_p1_lumped(mesh, u)
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("%s\n" % title.replace("\n", " "))
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % mesh.n_vertices)
-        for x, y in mesh.vertices:
-            fh.write("%.17g %.17g 0\n" % (x, y))
+        fh.write("# vtk DataFile Version 2.0\n%s\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n"
+                 % (title.replace("\n", " "), mesh.n_vertices))
+        _write_rows(fh, "%.17g %.17g 0\n", mesh.vertices)
         fh.write("CELLS %d %d\n" % (mesh.n_cells, 4 * mesh.n_cells))
-        for a, b, c in mesh.triangles:
-            fh.write("3 %d %d %d\n" % (a, b, c))
-        fh.write("CELL_TYPES %d\n" % mesh.n_cells)
-        fh.write("5\n" * mesh.n_cells)
-        fh.write("POINT_DATA %d\n" % mesh.n_vertices)
-        fh.write("SCALARS u_p1 double\nLOOKUP_TABLE default\n")
-        for value in u_p1:
-            fh.write("%.17g\n" % value)
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
+        fh.write("CELL_TYPES %d\n" % mesh.n_cells + "5\n" * mesh.n_cells)
+        fh.write("POINT_DATA %d\nSCALARS u_p1 double\nLOOKUP_TABLE default\n"
+                 % mesh.n_vertices)
+        _write_rows(fh, "%.17g\n", u_p1)
         fh.write("SCALARS v double\nLOOKUP_TABLE default\n")
-        for value in v:
-            fh.write("%.17g\n" % value)
-        fh.write("CELL_DATA %d\n" % mesh.n_cells)
-        fh.write("SCALARS u_p0 double\nLOOKUP_TABLE default\n")
-        for value in u:
-            fh.write("%.17g\n" % value)
+        _write_rows(fh, "%.17g\n", v)
+        fh.write("CELL_DATA %d\nSCALARS u_p0 double\nLOOKUP_TABLE default\n"
+                 % mesh.n_cells)
+        _write_rows(fh, "%.17g\n", u)
+
+
+def dump_mesh(mesh, path):
+    """Write a plain-text mesh dump for debugging to ``path``.
+
+    Format: a header line, then ``vertices <nv>`` followed by one
+    ``x y`` line per vertex, ``triangles <nt>`` with ``a b c`` lines,
+    ``interior_edges <ne>`` with ``a b K L |e| nx ny D`` lines and
+    ``boundary_edges <nb>`` with ``a b K |e| nx ny`` lines.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# triangular mesh dump\npattern %s\nsquare_side %s\n"
+                 "vertices %d\n"
+                 % (mesh.pattern or "custom",
+                    "none" if mesh.square_side is None
+                    else repr(mesh.square_side), mesh.n_vertices))
+        _write_rows(fh, "%.17g %.17g\n", mesh.vertices)
+        fh.write("triangles %d\n" % mesh.n_cells)
+        _write_rows(fh, "%d %d %d\n", mesh.triangles)
+        fh.write("interior_edges %d\n" % mesh.n_interior_edges)
+        _write_rows(fh, "%d %d %d %d %.17g %.17g %.17g %.17g\n",
+                    mesh.edge_vertices, mesh.edge_cells, mesh.edge_lengths,
+                    mesh.edge_normals, mesh.edge_dists)
+        fh.write("boundary_edges %d\n" % mesh.n_boundary_edges)
+        _write_rows(fh, "%d %d %d %.17g %.17g %.17g\n",
+                    mesh.bedge_vertices, mesh.bedge_cell,
+                    mesh.bedge_lengths, mesh.bedge_normals)

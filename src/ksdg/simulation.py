@@ -303,11 +303,13 @@ def run(cfg):
     """Execute a configured run, writing CSV diagnostics and snapshots.
 
     Builds the mesh and initial fields described by ``cfg`` (a
-    ``RunConfig``), runs the time loop to ``t_end``, streams one
-    diagnostics row per step to the configured CSV file and writes a
-    legacy-format VTK snapshot whenever a configured snapshot time is
-    crossed.  On a step failure the partial outputs are still written and
-    the failure is re-raised.
+    ``RunConfig``) and runs the time loop to ``t_end``.  A legacy-format
+    VTK snapshot is written at each step where one or more configured
+    snapshot times come due.  The output directories are created and the
+    CSV file is truncated before the first step, so an unwritable CSV
+    path fails before any work is done; the diagnostics rows are written
+    to it in one go when the run ends.  On a step failure the rows of the
+    accepted steps are still written and the failure is re-raised.
 
     Returns a ``RunResult`` with the mesh, all diagnostics rows and the
     final state.
@@ -317,6 +319,10 @@ def run(cfg):
     snap_times = sorted(cfg.snapshot_times)
     if cfg.vtk_dir:
         os.makedirs(cfg.vtk_dir, exist_ok=True)
+    if cfg.csv_path:
+        if os.path.dirname(cfg.csv_path):
+            os.makedirs(os.path.dirname(cfg.csv_path), exist_ok=True)
+        open(cfg.csv_path, "w").close()
 
     rows = []
     state = None
@@ -326,14 +332,14 @@ def run(cfg):
                                    newton=cfg.newton,
                                    truncated=(cfg.flux == "truncated")):
             rows.append(row)
+            seen = next_snap
             while (next_snap < len(snap_times)
                    and state.t >= snap_times[next_snap] - 0.5 * cfg.params.dt):
-                if cfg.vtk_dir:
-                    path = os.path.join(cfg.vtk_dir,
-                                        "snap_%06d.vtk" % state.m)
-                    _output.write_vtk_snapshot(mesh, state.u, state.v, path,
-                                               title="t=%.9g" % state.t)
                 next_snap += 1
+            if cfg.vtk_dir and next_snap > seen:
+                path = os.path.join(cfg.vtk_dir, "snap_%06d.vtk" % state.m)
+                _output.write_vtk_snapshot(mesh, state.u, state.v, path,
+                                           title="t=%.9g" % state.t)
     finally:
         if cfg.csv_path:
             _output.write_diagnostics_csv(rows, cfg.csv_path)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -233,10 +231,10 @@ class TestTriMesh:
                               np.concatenate((cells, k, l, k, l)))
 
 
-def test_dump_roundtrip_counts(unit_square_mesh1):
-    buf = io.StringIO()
-    dump_mesh(unit_square_mesh1, buf)
-    text = buf.getvalue().splitlines()
+def test_dump_roundtrip_counts(unit_square_mesh1, tmp_path):
+    path = tmp_path / "mesh.txt"
+    dump_mesh(unit_square_mesh1, path)
+    text = path.read_text().splitlines()
     counts = {line.split()[0]: int(line.split()[1])
               for line in text if line.split()[0] in
               ("vertices", "triangles", "interior_edges", "boundary_edges")}

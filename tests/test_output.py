@@ -1,12 +1,16 @@
-import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ksdg import (CSV_HEADER, ModelParams, build_structured_mesh,
-                  project_p0_to_p1_lumped, read_diagnostics_csv, simulate,
-                  write_diagnostics_csv, write_vtk_snapshot)
+from ksdg import (CSV_HEADER, ModelParams, TriMesh, build_structured_mesh,
+                  dump_mesh, output, project_p0_to_p1_lumped,
+                  read_diagnostics_csv, simulate, write_diagnostics_csv,
+                  write_vtk_snapshot)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_run_rows(n_steps=5):
@@ -70,13 +74,13 @@ class TestCsv:
                               "E_eps,energy_law_lhs,newton_iters,"
                               "newton_residual")
 
-    def test_roundtrip_bit_exact(self):
+    def test_roundtrip_bit_exact(self, tmp_path):
         _, rows = small_run_rows()
-        buf = io.StringIO()
-        write_diagnostics_csv(rows, buf)
-        text = buf.getvalue()
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(rows, path)
+        text = path.read_text()
         assert text.splitlines()[0] == CSV_HEADER
-        back = read_diagnostics_csv(io.StringIO(text))
+        back = read_diagnostics_csv(path)
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
             assert a.step == b.step
@@ -85,9 +89,9 @@ class TestCsv:
                 assert getattr(a, name) == getattr(b, name)
             assert a.newton_iters == b.newton_iters
         # rewriting the reloaded rows reproduces the bytes
-        buf2 = io.StringIO()
-        write_diagnostics_csv(back, buf2)
-        assert buf2.getvalue() == text
+        path2 = tmp_path / "again.csv"
+        write_diagnostics_csv(back, path2)
+        assert path2.read_text() == text
 
     def test_writes_to_path(self, tmp_path):
         _, rows = small_run_rows(2)
@@ -99,6 +103,13 @@ class TestCsv:
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_diagnostics_csv(path)
+
+    @pytest.mark.parametrize("fields", [11, 13])
+    def test_reader_rejects_wrong_field_count(self, tmp_path, fields):
+        path = tmp_path / "diag.csv"
+        path.write_text(CSV_HEADER + "\n0" + ",1" * (fields - 1) + "\n")
+        with pytest.raises(ValueError, match="malformed"):
             read_diagnostics_csv(path)
 
     def test_matches_golden_file(self, tmp_path):
@@ -165,3 +176,156 @@ class TestVtk:
         with pytest.raises(ValueError, match="shape"):
             write_vtk_snapshot(mesh, np.zeros(3), np.zeros(5),
                                tmp_path / "x.vtk")
+
+
+# -- oracles: the per-line writers the block writers replaced --
+
+def oracle_vtk(mesh, u, v, path, title="snapshot"):
+    u_p1 = project_p0_to_p1_lumped(mesh, u)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write("%s\n" % title.replace("\n", " "))
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("POINTS %d double\n" % mesh.n_vertices)
+        for x, y in mesh.vertices:
+            fh.write("%.17g %.17g 0\n" % (x, y))
+        fh.write("CELLS %d %d\n" % (mesh.n_cells, 4 * mesh.n_cells))
+        for a, b, c in mesh.triangles:
+            fh.write("3 %d %d %d\n" % (a, b, c))
+        fh.write("CELL_TYPES %d\n" % mesh.n_cells)
+        fh.write("5\n" * mesh.n_cells)
+        fh.write("POINT_DATA %d\n" % mesh.n_vertices)
+        fh.write("SCALARS u_p1 double\nLOOKUP_TABLE default\n")
+        for value in u_p1:
+            fh.write("%.17g\n" % value)
+        fh.write("SCALARS v double\nLOOKUP_TABLE default\n")
+        for value in v:
+            fh.write("%.17g\n" % value)
+        fh.write("CELL_DATA %d\n" % mesh.n_cells)
+        fh.write("SCALARS u_p0 double\nLOOKUP_TABLE default\n")
+        for value in u:
+            fh.write("%.17g\n" % value)
+
+
+def oracle_dump(mesh, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# triangular mesh dump\n")
+        fh.write("pattern %s\n" % (mesh.pattern or "custom"))
+        fh.write("square_side %s\n" % ("none" if mesh.square_side is None
+                                       else repr(mesh.square_side)))
+        fh.write("vertices %d\n" % mesh.n_vertices)
+        for x, y in mesh.vertices:
+            fh.write("%.17g %.17g\n" % (x, y))
+        fh.write("triangles %d\n" % mesh.n_cells)
+        for a, b, c in mesh.triangles:
+            fh.write("%d %d %d\n" % (a, b, c))
+        fh.write("interior_edges %d\n" % mesh.n_interior_edges)
+        for i in range(mesh.n_interior_edges):
+            a, b = mesh.edge_vertices[i]
+            k, l = mesh.edge_cells[i]
+            nx, ny = mesh.edge_normals[i]
+            fh.write("%d %d %d %d %.17g %.17g %.17g %.17g\n"
+                     % (a, b, k, l, mesh.edge_lengths[i], nx, ny,
+                        mesh.edge_dists[i]))
+        fh.write("boundary_edges %d\n" % mesh.n_boundary_edges)
+        for i in range(mesh.n_boundary_edges):
+            a, b = mesh.bedge_vertices[i]
+            nx, ny = mesh.bedge_normals[i]
+            fh.write("%d %d %d %.17g %.17g %.17g\n"
+                     % (a, b, mesh.bedge_cell[i], mesh.bedge_lengths[i],
+                        nx, ny))
+
+
+#: Values whose 17-digit text is easy to get wrong: a signed zero, the
+#: smallest subnormal, a value near overflow and negatives.
+EXTREMES = np.array([-0.0, 5e-324, 1e300, -1e300, -3.75])
+
+
+def extreme_field(n, rng):
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:len(EXTREMES)] = EXTREMES[:n]
+    return values
+
+
+def assert_matches_oracles(mesh, rng, tmp_path):
+    u = extreme_field(mesh.n_cells, rng)
+    v = extreme_field(mesh.n_vertices, rng)
+    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=1e-05")
+    oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=1e-05")
+    assert (tmp_path / "got.vtk").read_bytes() == (
+        tmp_path / "want.vtk").read_bytes()
+    dump_mesh(mesh, tmp_path / "got.txt")
+    oracle_dump(mesh, tmp_path / "want.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (
+        tmp_path / "want.txt").read_bytes()
+
+
+class TestBlockWriters:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("section", ["n_vertices", "n_cells",
+                                         "n_interior_edges",
+                                         "n_boundary_edges"])
+    @pytest.mark.parametrize("pattern", ["mesh1", "mesh2"])
+    def test_bytes_equal_per_line_oracle_around_chunk_size(
+            self, monkeypatch, rng, tmp_path, pattern, section, offset):
+        mesh = build_structured_mesh(pattern, 4)
+        # the section holds one row fewer than, as many as, or one more
+        # than a chunk
+        monkeypatch.setattr(output, "CHUNK_ROWS",
+                            getattr(mesh, section) - offset)
+        assert_matches_oracles(mesh, rng, tmp_path)
+
+    def test_bytes_equal_oracle_at_default_chunk_size(self, rng, tmp_path):
+        mesh = build_structured_mesh("mesh2", 32)
+        assert mesh.n_cells == output.CHUNK_ROWS
+        assert_matches_oracles(mesh, rng, tmp_path)
+
+    def test_single_triangle_has_an_empty_edge_block(self, rng, tmp_path):
+        mesh = TriMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+        assert mesh.n_interior_edges == 0
+        assert_matches_oracles(mesh, rng, tmp_path)
+        text = (tmp_path / "got.txt").read_text().splitlines()
+        assert text[text.index("interior_edges 0") + 1] == "boundary_edges 3"
+
+
+def run_demo(name, cwd):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestDemos:
+    def test_structured_meshes_demo_writes_a_parseable_dump(self, tmp_path):
+        run_demo("01_structured_meshes.py", tmp_path)
+        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        text = (tmp_path / "mesh2_single_square.txt").read_text().splitlines()
+        assert text[:3] == ["# triangular mesh dump", "pattern mesh2",
+                            "square_side 1.0"]
+        start = text.index("vertices %d" % mesh.n_vertices) + 1
+        vertices = [[float(x) for x in line.split()]
+                    for line in text[start:start + mesh.n_vertices]]
+        assert np.array_equal(vertices, mesh.vertices)
+        start = text.index("interior_edges %d" % mesh.n_interior_edges) + 1
+        edges = [line.split() for line in
+                 text[start:start + mesh.n_interior_edges]]
+        assert np.array_equal([[int(x) for x in e[2:4]] for e in edges],
+                              mesh.edge_cells)
+        assert np.array_equal([float(e[-1]) for e in edges], mesh.edge_dists)
+        assert text[-mesh.n_boundary_edges - 1] == (
+            "boundary_edges %d" % mesh.n_boundary_edges)
+
+    def test_single_peak_demo_writes_a_parseable_snapshot(self, tmp_path):
+        run_demo("02_single_peak_collapse.py", tmp_path)
+        mesh = build_structured_mesh("mesh1", 32)
+        sections = parse_vtk(tmp_path / "single_peak_final.vtk")
+        assert np.array_equal(sections["points"][:, :2], mesh.vertices)
+        assert np.array_equal(sections["cells"][:, 1:], mesh.triangles)
+        assert sections["cell_types"] == [5] * mesh.n_cells
+        assert len(sections["u_p0"]) == mesh.n_cells
+        assert len(sections["v"]) == len(sections["u_p1"]) == mesh.n_vertices
+        assert sections["u_p0"].min() >= 0.0 and sections["v"].min() >= 0.0

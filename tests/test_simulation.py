@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from ksdg import (EnergyLawError, ModelParams, NewtonSettings, SimState,
                   StepFailureError, build_structured_mesh, energy, energy_eps,
                   energy_law_lhs, integrate_cellfield, p1_gradients,
-                  p1_square_integral, pos_part, simulate)
+                  p1_square_integral, pos_part, read_diagnostics_csv,
+                  simulate)
 from ksdg import simulation
 from ksdg.config import PRESET_NAMES, build_mesh, initial_fields, load_config
 from ksdg.simulation import ENERGY_LAW_RTOL
@@ -285,3 +287,46 @@ def test_five_preset_steps_keep_the_guarantees(preset, pattern, flux, dt):
         assert abs(b.mass - a.mass) <= MASS_RTOL * a.mass
         assert b.min_u >= 0.0 and b.min_v >= 0.0
         assert b.energy_law_lhs <= ENERGY_LAW_RTOL * (1.0 + abs(b.E_eps))
+
+
+def one_bulge_config(output):
+    return load_config("[mesh]\npattern = mesh1\nn = 8\n[initial]\n"
+                       "preset = one_bulge\n[params]\nt_end = 1.2e-5\n"
+                       "[output]\n" + output)
+
+
+class TestRun:
+    def test_snapshot_times_due_at_one_step_write_it_once(self, tmp_path,
+                                                          monkeypatch):
+        vtk_dir = tmp_path / "snaps"
+        cfg = one_bulge_config("vtk_dir = %s\nsnapshot_times = "
+                               "0 0 1e-5 1.2e-5\n" % vtk_dir)
+        written = []
+        write = simulation._output.write_vtk_snapshot
+        monkeypatch.setattr(
+            simulation._output, "write_vtk_snapshot",
+            lambda mesh, u, v, path, **kw: (written.append(path),
+                                            write(mesh, u, v, path, **kw)))
+        simulation.run(cfg)
+        names = ["snap_000000.vtk", "snap_000010.vtk", "snap_000012.vtk"]
+        assert [os.path.basename(p) for p in written] == names
+        assert sorted(os.listdir(vtk_dir)) == names
+
+    def test_csv_in_missing_directory_is_written(self, tmp_path):
+        csv_path = tmp_path / "a" / "b" / "diag.csv"
+        result = simulation.run(one_bulge_config("csv = %s\n" % csv_path))
+        rows = read_diagnostics_csv(csv_path)
+        assert [r.step for r in rows] == list(range(13))
+        assert rows[-1].mass == result.rows[-1].mass
+
+    def test_unwritable_csv_fails_before_the_first_step(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        solve = simulation.solve_u_step
+        monkeypatch.setattr(
+            simulation, "solve_u_step",
+            lambda *a, **kw: (calls.append(1), solve(*a, **kw))[1])
+        cfg = one_bulge_config("csv = %s\n" % tmp_path)
+        with pytest.raises(OSError):
+            simulation.run(cfg)
+        assert calls == []

@@ -24,11 +24,11 @@ The second block is pointwise, so every Newton iterate sets ``mu(u)``
 exactly and a damped Newton method runs on ``u`` alone, for the mass
 balance.  Its exact Jacobian, the Schur complement ``A + Fmu *
 diag(k0/(u + eps))`` of the coupled one, is assembled by one scatter onto
-the mesh's fixed cell-adjacency pattern and solved by Jacobi-
-preconditioned BiCGSTAB, or by a sparse LU factorization when the Krylov
-solve misses its tolerance.  Truncation kinks use one-sided derivatives:
-``d pos(x)/dx`` is 1 for ``x > 0`` and 0 otherwise, so Jacobian rows of
-inactive cells stay consistent.
+the mesh's fixed cell-adjacency pattern and solved by a direct Jacobi-
+BiCGSTAB loop with scipy's arithmetic, or by a sparse LU factorization
+when the Krylov solve misses its tolerance.  Truncation kinks use
+one-sided derivatives: ``d pos(x)/dx`` is 1 for ``x > 0`` and 0
+otherwise, so Jacobian rows of inactive cells stay consistent.
 """
 
 from dataclasses import dataclass
@@ -120,6 +120,8 @@ class NewtonStats:
     linear_iterations: int = 0
     #: Newton systems solved by LU after the Krylov solve missed
     lu_fallbacks: int = 0
+    #: ``aupw_apply(mu, pos_part(u), mu)`` of the result (energy law)
+    dissipation: float = 0.0
 
 
 def aupw_apply(mesh, mu, u, ubar):
@@ -268,25 +270,42 @@ def _schur_system(mesh, u, terms, params, truncated):
 
 def _krylov_solve(schur, rhs, diagonal):
     """Jacobi-preconditioned BiCGSTAB from zero; ``(x, iterations)``, with
-    ``x`` None unless the true residual meets ``NEWTON_LINEAR_RTOL``."""
-    inverse = 1.0 / diagonal
-    applications = [0]
-
-    def precondition(x):
-        applications[0] += 1
-        return inverse * x
-
-    jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
-                                 dtype=float)
-    x, info = spla.bicgstab(schur, rhs, rtol=NEWTON_LINEAR_RTOL, atol=0.0,
-                            maxiter=NEWTON_LINEAR_MAXITER, M=jacobi)
-    # each iteration applies the preconditioner twice; the last may stop
-    # after its first half
-    iterations = (applications[0] + 1) // 2
-    if info != 0 or not (np.linalg.norm(rhs - schur @ x)
-                         <= NEWTON_LINEAR_RTOL * np.linalg.norm(rhs)):
-        return None, iterations
-    return x, iterations
+    ``x`` None unless the true residual meets ``NEWTON_LINEAR_RTOL``.  The
+    loop is ``scipy.sparse.linalg.bicgstab`` operation for operation,
+    without its dispatch, so its iterates are scipy's bit for bit."""
+    bnorm = np.sqrt(np.dot(rhs, rhs))       # np.linalg.norm of a 1-D array
+    if bnorm == 0.0:
+        return rhs, 0
+    atol, inverse = NEWTON_LINEAR_RTOL * bnorm, 1.0 / diagonal
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs   # rhs: rtilde, 1st p
+    for it in range(NEWTON_LINEAR_MAXITER):
+        if np.sqrt(np.dot(r, r)) < atol:
+            break
+        rho = np.dot(rhs, r)
+        if abs(rho) < _EPS ** 2 or it > 0 and abs(omega) < _EPS ** 2:
+            return None, it                 # rho or omega breakdown
+        if it > 0:
+            p = (p - omega * v) * ((rho / rho_prev) * (alpha / omega)) + r
+        phat = inverse * p
+        v = schur @ phat
+        rv = np.dot(rhs, v)
+        if rv == 0:
+            return None, it + 1
+        alpha = rho / rv
+        r -= alpha * v
+        x += alpha * phat
+        if np.sqrt(np.dot(r, r)) < atol:
+            it += 1
+            break
+        shat = inverse * r                  # scipy's s is a copy of r
+        t = schur @ shat
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    else:
+        return None, NEWTON_LINEAR_MAXITER
+    return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
 
 
 def _newton_direction(mesh, u, mu, r1, terms, params, truncated):
@@ -301,7 +320,7 @@ def _newton_direction(mesh, u, mu, r1, terms, params, truncated):
     Returns ``(du, krylov_iterations, lu_fallback)``.
     """
     schur, rhs = _schur_system(mesh, u, terms, params, truncated), -r1
-    diagonal = schur.diagonal()
+    diagonal = schur.data[mesh.cell_pattern.slots[:mesh.n_cells]]
     du, iterations = None, 0
     if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
         du, iterations = _krylov_solve(schur, rhs, diagonal)
@@ -356,7 +375,8 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms = trial(u_old.copy())
     stats = NewtonStats(0, rnorm, False)
-    while rnorm > max(settings.tol_residual, 16.0 * _EPS * _roundoff_scale(
+    tol = settings.tol_residual         # max(tol, nan) is tol
+    while rnorm > tol and rnorm > max(tol, 16.0 * _EPS * _roundoff_scale(
             mesh, u, mu, u_old, terms, params)):
         if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(
@@ -405,6 +425,10 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
             "mass drift %g exceeds %g relative"
             % (mass_new - mass_old, MASS_RTOL))
 
+    # max(u, 0) is the same before and after the clamp; jp - jn == [mu]
+    *_, jp, jn, _, _, flux = (terms if truncated else
+                              _flux_terms(mesh, u, mu, truncated=True))
+    stats.dissipation = float(np.dot(flux, jp - jn))
     stats.converged = True
     stats.clamp = clamp
     return u, mu, stats

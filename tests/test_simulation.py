@@ -256,7 +256,7 @@ class TestSimulate:
         p = ModelParams(dt=1e-6, t_end=3e-6)
         monkeypatch.setattr(
             simulation, "_energy_law_lhs",
-            lambda *args: 2.0 * ENERGY_LAW_RTOL * (1.0 + abs(args[-1])))
+            lambda *args: 2.0 * ENERGY_LAW_RTOL * (1.0 + abs(args[5])))
         with pytest.raises(EnergyLawError, match="energy law") as info:
             list(simulate(mesh, p, u0, v0))
         err = info.value

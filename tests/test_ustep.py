@@ -326,6 +326,49 @@ class TestSolve:
         assert calls["trial"] > stats.iterations
         assert calls["flux"] == calls["trial"]
 
+    def test_roundoff_scale_only_above_tolerance(self, monkeypatch):
+        mesh, params, u0, v0 = one_bulge_setup()
+        calls = [0]
+        roundoff_scale = ustep._roundoff_scale
+
+        def count_scale(*args):
+            calls[0] += 1
+            return roundoff_scale(*args)
+
+        monkeypatch.setattr(ustep, "_roundoff_scale", count_scale)
+        _, _, stats = solve_u_step(mesh, u0, v0, params,
+                                   NewtonSettings(tol_residual=1e-6))
+        assert stats.residual <= 1e-6
+        assert calls[0] == stats.iterations > 0
+
+    def test_nan_roundoff_scale_keeps_tol_residual(self, monkeypatch):
+        # max(tol_residual, nan) is tol_residual: a NaN scale must not stop
+        # Newton early
+        mesh, params, u0, v0 = one_bulge_setup()
+        settings = NewtonSettings(tol_residual=1e-6)
+        runs = []
+        for scale in (0.0, np.nan):
+            monkeypatch.setattr(ustep, "_roundoff_scale",
+                                lambda *args, scale=scale: scale)
+            runs.append(solve_u_step(mesh, u0, v0, params, settings))
+        (u_zero, _, zero), (u_nan, _, nan) = runs
+        assert nan.iterations == zero.iterations > 0
+        assert np.array_equal(u_nan, u_zero)
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_stats_carry_the_energy_law_dissipation(self, monkeypatch,
+                                                    truncated):
+        mesh, params, u0, v0 = one_bulge_setup()
+        u, mu, stats = solve_u_step(mesh, u0, v0, params,
+                                    truncated=truncated)
+        assert stats.dissipation == aupw_apply(mesh, mu, pos_part(u), mu)
+        assert stats.dissipation > 0.0
+        # simulate takes it from the stats, with no second flux pass
+        monkeypatch.setattr(simulation, "aupw_apply", None)
+        rows = [r for _, r in simulate(mesh, params, u0, v0,
+                                       truncated=truncated)]
+        assert len(rows) == 6
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             NewtonSettings(tol_residual=0.0)
@@ -343,7 +386,7 @@ def one_bulge_setup():
     return (mesh, cfg.params) + initial_fields(cfg, mesh)
 
 
-def run_one_bulge(monkeypatch):
+def run_one_bulge(monkeypatch, truncated=True):
     """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments of
     every Newton direction solved and the stats of every step."""
     mesh, params, u0, v0 = one_bulge_setup()
@@ -362,7 +405,7 @@ def run_one_bulge(monkeypatch):
 
     monkeypatch.setattr(ustep, "_newton_direction", record_direction)
     monkeypatch.setattr(simulation, "solve_u_step", record_step)
-    for _ in simulate(mesh, params, u0, v0):
+    for _ in simulate(mesh, params, u0, v0, truncated=truncated):
         pass
     monkeypatch.undo()
     return systems, stats
@@ -383,6 +426,36 @@ def lu_direction(mesh, u, mu, r1, terms, params, truncated):
     """Newton direction of the oracle Schur system, solved by LU."""
     schur = schur_oracle(mesh, u, mu, params, truncated)
     return spla.splu(schur.tocsc()).solve(-r1), 0, True
+
+
+def scipy_krylov(schur, rhs, diagonal):
+    """``_krylov_solve`` through ``scipy.sparse.linalg.bicgstab``, the
+    reference the direct loop must repeat bit for bit."""
+    inverse = 1.0 / diagonal
+    applications = [0]
+
+    def precondition(x):
+        applications[0] += 1
+        return inverse * x
+
+    jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
+                                 dtype=float)
+    x, info = spla.bicgstab(schur, rhs, rtol=ustep.NEWTON_LINEAR_RTOL,
+                            atol=0.0, maxiter=ustep.NEWTON_LINEAR_MAXITER,
+                            M=jacobi)
+    # each iteration applies the preconditioner twice; the last may stop
+    # after its first half
+    iterations = (applications[0] + 1) // 2
+    if info != 0 or not (np.linalg.norm(rhs - schur @ x)
+                         <= ustep.NEWTON_LINEAR_RTOL * np.linalg.norm(rhs)):
+        return None, iterations
+    return x, iterations
+
+
+def newton_system(mesh, u, mu, r1, terms, params, truncated):
+    """Matrix, right-hand side and diagonal of a Newton direction."""
+    schur = ustep._schur_system(mesh, u, terms, params, truncated)
+    return schur, -r1, schur.diagonal()
 
 
 def max_rel_diff(got, ref):
@@ -407,6 +480,9 @@ class TestNewtonLinearSolve:
         schur = ustep._schur_system(mesh, u, terms, params, truncated)
         ref = schur_oracle(mesh, u, mu, params, truncated)
         assert max_rel_diff(schur.toarray(), ref.toarray()) <= 1e-14
+        # the Jacobi diagonal is read from the pattern's diagonal slots
+        assert np.array_equal(schur.data[mesh.cell_pattern.slots[:nc]],
+                              schur.diagonal())
 
     def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
         systems, _ = run_one_bulge(monkeypatch)
@@ -429,12 +505,78 @@ class TestNewtonLinearSolve:
         with monkeypatch.context() as m:
             m.setattr(ustep, "_newton_direction", lu_direction)
             u_ref, _, ref_stats = solve_u_step(mesh, u0, v0, params)
-        monkeypatch.setattr(spla, "bicgstab",
-                            lambda a, b, **kwargs: (np.zeros_like(b), 1))
+        monkeypatch.setattr(ustep, "_krylov_solve", lambda *args: (None, 1))
         u, _, stats = solve_u_step(mesh, u0, v0, params)
         assert stats.lu_fallbacks == stats.iterations == ref_stats.iterations
         assert stats.lu_fallbacks >= 1
         assert max_rel_diff(u, u_ref) <= 1e-12
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch,
+                                                truncated):
+        systems, _ = run_one_bulge(monkeypatch, truncated)
+        assert len(systems) >= 5
+        for args in systems:
+            system = newton_system(*args)
+            x, iterations = ustep._krylov_solve(*system)
+            ref, ref_iterations = scipy_krylov(*system)
+            assert x is not None and np.array_equal(x, ref)
+            assert iterations == ref_iterations > 0
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-20])
+    def test_krylov_loop_tiny_rhs(self, monkeypatch, scale):
+        # a zero rhs returns zero at once; at 1e-20, rho = |rhs|^2 is
+        # below the breakdown threshold eps^2 at the first iteration
+        systems, _ = run_one_bulge(monkeypatch)
+        schur, rhs, diagonal = newton_system(*systems[0])
+        rhs = scale * rhs / np.max(np.abs(rhs))
+        x, iterations = ustep._krylov_solve(schur, rhs, diagonal)
+        ref, ref_iterations = scipy_krylov(schur, rhs, diagonal)
+        assert iterations == ref_iterations == 0
+        assert (x is None) == (ref is None) == (scale > 0.0)
+        assert x is None or np.array_equal(x, ref)
+
+    def test_krylov_loop_at_every_iteration_cap(self, monkeypatch):
+        # random sparse systems, capped where scipy stops and one earlier;
+        # a cap that ends the loop before its convergence test is a
+        # failure even when the true residual already meets the tolerance
+        capped_at_convergence = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = 60
+            a = (np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
+                 + np.diag(rng.uniform(1.0, 2.0, n)))
+            system = sp.csr_matrix(a), rng.normal(size=n), np.diag(a).copy()
+            _, full = scipy_krylov(*system)
+            for cap in (full - 1, full):
+                monkeypatch.setattr(ustep, "NEWTON_LINEAR_MAXITER", cap)
+                x, iterations = ustep._krylov_solve(*system)
+                ref, ref_iterations = scipy_krylov(*system)
+                assert iterations == ref_iterations
+                assert (x is None) == (ref is None)
+                assert x is None or np.array_equal(x, ref)
+                capped_at_convergence += cap == full and x is None
+        assert capped_at_convergence >= 1
+
+    def test_capped_krylov_loop_falls_back_to_lu(self, monkeypatch):
+        systems, _ = run_one_bulge(monkeypatch)
+        monkeypatch.setattr(ustep, "NEWTON_LINEAR_MAXITER", 2)
+        x, iterations = ustep._krylov_solve(*newton_system(*systems[0]))
+        assert x is None and iterations == 2
+        du, iterations, fallback = _newton_direction(*systems[0])
+        assert fallback and iterations == 2
+        assert max_rel_diff(du, lu_direction(*systems[0])[0]) <= 1e-10
+        mesh, params, u0, v0 = one_bulge_setup()
+        _, _, stats = solve_u_step(mesh, u0, v0, params)
+        assert stats.lu_fallbacks == stats.iterations >= 1
+
+    def test_solver_counts_at_seed_0(self, monkeypatch):
+        # Newton iterations, Krylov iterations and LU fallbacks of the
+        # five steps, pinned; the bench configs' totals are in CHANGES.md
+        _, stats = run_one_bulge(monkeypatch)
+        assert (sum(s.iterations for s in stats),
+                sum(s.linear_iterations for s in stats),
+                sum(s.lu_fallbacks for s in stats)) == (10, 50, 0)
 
     def test_singular_system_raises_divergence(self, two_cell_mesh,
                                                monkeypatch):

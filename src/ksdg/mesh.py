@@ -24,6 +24,7 @@ meshes, ``2*l**2 / (3*|e|)`` for ``mesh1`` and ``l**2 / (3*|e|)`` for
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 MESH1 = "mesh1"
 MESH2 = "mesh2"
@@ -89,6 +90,8 @@ class TriMesh:
         Mesh size (longest edge).
     cell_pattern : CellPattern
         CSR pattern of the cell adjacency, built on first use.
+    stiffness : csr_matrix
+        P1 stiffness matrix (constants in its kernel), built on first use.
 
     All arrays are read-only after construction, so derived data such as
     ``edge_weights`` cannot go stale; a TriMesh is safe for concurrent
@@ -214,6 +217,14 @@ class TriMesh:
             self._pattern_edges = self.edge_cells
         return self._cell_pattern
 
+    @property
+    def stiffness(self):
+        # rebuilt when triangles is replaced, as on a relabelled copy
+        if getattr(self, "_stiffness_triangles", None) is not self.triangles:
+            self._stiffness = _freeze(_assemble_stiffness(self))
+            self._stiffness_triangles = self.triangles
+        return self._stiffness
+
     def domain_area(self):
         return float(self.areas.sum())
 
@@ -227,6 +238,7 @@ def _freeze(obj):
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+    return obj
 
 
 @dataclass(frozen=True)
@@ -263,8 +275,17 @@ def _build_cell_pattern(nc, edge_cells):
                               ).astype(index),
         indices=cols[order].astype(index),
         slots=np.concatenate((diag, diag[k], kl, lk, diag[l])))
-    _freeze(pattern)
-    return pattern
+    return _freeze(pattern)
+
+
+def _assemble_stiffness(mesh):
+    grads = mesh.lambda_gradients
+    local = mesh.areas[:, None, None] * np.einsum("tax,tbx->tab", grads, grads)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nv = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def _lengths_and_normals(verts, pairs, toward):

@@ -38,8 +38,8 @@ import numpy as np
 from . import config as _config
 from . import output as _output
 from .fields import (ModelParams, _check_cellfield, _check_nodefield,
-                     integrate_cellfield, p1_gradients, p1_square_integral,
-                     pos_part, project_p1_to_p0)
+                     integrate_cellfield, p1_square_integral, pos_part,
+                     project_p1_to_p0)
 from .ustep import UStepError, aupw_apply, solve_u_step
 from .vstep import assemble_v_system, solve_v_step
 
@@ -126,8 +126,10 @@ def _coupling(mesh, u, v):
 
 
 def _grad_square(mesh, v):
-    g = p1_gradients(mesh, v)
-    return float(np.dot(mesh.areas, np.einsum("ij,ij->i", g, g)))
+    # w.S.w = sum |K| |grad w|^2; S kills constants, and taking out the
+    # mean keeps a large level of v from cancelling in the quadratic form
+    w = v - v.mean()
+    return float(w @ (mesh.stiffness @ w))
 
 
 def _energies(mesh, u, v, params):

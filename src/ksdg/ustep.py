@@ -382,8 +382,12 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
-        du, krylov, fallback = _newton_direction(mesh, u, mu, r1, terms,
-                                                 params, truncated)
+        try:
+            du, krylov, fallback = _newton_direction(mesh, u, mu, r1, terms,
+                                                     params, truncated)
+        except NewtonDivergenceError as exc:    # singular LU factorization
+            exc.stats = stats
+            raise
         stats.linear_iterations += krylov
         stats.lu_fallbacks += fallback
 

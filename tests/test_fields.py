@@ -91,6 +91,22 @@ class TestProjections:
         oracle = midpoints.mean(axis=1)
         assert np.allclose(project_p1_to_p0(mesh, v), oracle, rtol=1e-13)
 
+    @pytest.mark.parametrize("mesh_name", ["mesh1", "mesh2", "two_cell"])
+    @pytest.mark.parametrize("scale", ["normal", "mixed_1e300"])
+    def test_p1_to_p0_bit_identical_to_mean(self, request, rng, mesh_name,
+                                            scale):
+        # the previous formula is the oracle: numpy's mean over three
+        # columns adds them left to right and then divides by 3
+        mesh = (request.getfixturevalue("two_cell_mesh")
+                if mesh_name == "two_cell"
+                else build_structured_mesh(mesh_name, 8))
+        for _ in range(20):
+            v = rng.standard_normal(mesh.n_vertices)
+            if scale == "mixed_1e300":
+                v *= rng.choice([1e-300, 1.0, 1e300], mesh.n_vertices)
+            assert np.array_equal(project_p1_to_p0(mesh, v),
+                                  v[mesh.triangles].mean(axis=1))
+
     def test_p0_to_p1_preserves_constants(self, unit_square_mesh2):
         u = np.full(unit_square_mesh2.n_cells, -2.5)
         assert np.allclose(project_p0_to_p1_lumped(unit_square_mesh2, u),

@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ksdg import (MeshError, TriMesh, build_structured_mesh, dump_mesh,
-                  edge_distance, pattern_edge_distance, verify_hypotheses)
+from ksdg import (MeshError, ModelParams, TriMesh, assemble_v_system,
+                  build_structured_mesh, dump_mesh, edge_distance,
+                  pattern_edge_distance, verify_hypotheses)
 
 from conftest import flip_edges
 
@@ -229,6 +233,59 @@ class TestTriMesh:
         assert np.array_equal(rows[p.slots], np.concatenate((cells, k, k, l, l)))
         assert np.array_equal(p.indices[p.slots],
                               np.concatenate((cells, k, l, k, l)))
+
+
+def stiffness_oracle(mesh):
+    """The P1 stiffness as the chemoattractant step assembled it before
+    it moved onto the mesh."""
+    grads = mesh.lambda_gradients
+    local = mesh.areas[:, None, None] * np.einsum("tax,tbx->tab", grads, grads)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nv = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestStiffness:
+    @pytest.fixture(params=["mesh1", "mesh2", "two_cell"])
+    def mesh(self, request):
+        if request.param == "two_cell":
+            return request.getfixturevalue("two_cell_mesh")
+        return build_structured_mesh(request.param, 6)
+
+    def test_built_once_and_read_only(self, mesh):
+        stiffness = mesh.stiffness
+        assert mesh.stiffness is stiffness
+        for name in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stiffness, name)[...] = 0
+
+    def test_matches_assembly_oracle(self, mesh):
+        assert_same_csr(mesh.stiffness, stiffness_oracle(mesh))
+
+    def test_shared_with_the_v_system(self, mesh):
+        system = assemble_v_system(mesh, ModelParams())
+        assert system.stiffness is mesh.stiffness
+
+    def test_rebuilt_on_relabelled_copy(self, mesh, rng):
+        before = mesh.stiffness
+        relabel = rng.permutation(mesh.n_vertices)
+        moved = copy.copy(mesh)
+        moved.vertices = np.empty_like(mesh.vertices)
+        moved.vertices[relabel] = mesh.vertices
+        moved.triangles = relabel[mesh.triangles]
+        assert moved.stiffness is not before
+        assert_same_csr(moved.stiffness, stiffness_oracle(moved))
+        # the same matrix up to the order duplicates were summed in
+        back = moved.stiffness[relabel][:, relabel].toarray()
+        assert np.allclose(back, before.toarray(), rtol=0, atol=1e-14)
+        assert mesh.stiffness is before
 
 
 def test_dump_roundtrip_counts(unit_square_mesh1, tmp_path):

@@ -135,6 +135,28 @@ class TestEnergyEps:
                        np.zeros(5), ModelParams())
 
 
+def grad_square_by_cells(mesh, v):
+    """The per-cell route to the integral of |grad v|^2."""
+    g = p1_gradients(mesh, v)
+    return float(np.dot(mesh.areas, np.einsum("ij,ij->i", g, g)))
+
+
+@pytest.mark.parametrize("pattern", ["mesh1", "mesh2"])
+@pytest.mark.parametrize("field", ["random", "near_constant"])
+def test_grad_square_matches_cellwise_oracle(rng, pattern, field):
+    mesh = build_structured_mesh(pattern, 16)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    if field == "random":
+        v = rng.standard_normal(mesh.n_vertices)
+    else:
+        # a large level on a unit bump: the level must not leak into the
+        # round-off of the quadratic form
+        v = 1e3 + np.exp(-20.0 * (x ** 2 + y ** 2))
+    want = grad_square_by_cells(mesh, v)
+    assert simulation._grad_square(mesh, v) == pytest.approx(want,
+                                                              rel=1e-12)
+
+
 class TestEnergyLaw:
     def test_homogeneous_steady_state_is_zero(self):
         mesh = build_structured_mesh("mesh2", 2, (0, 1, 0, 1))

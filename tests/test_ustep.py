@@ -589,3 +589,5 @@ class TestNewtonLinearSolve:
                          v_with_cell_averages(2.0, -3.0),
                          ModelParams(dt=1e-3, t_end=1e-3))
         assert info.value.u is not None
+        assert isinstance(info.value.stats, ustep.NewtonStats)
+        assert info.value.stats.iterations == 0

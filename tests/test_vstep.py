@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ksdg import (ModelParams, TriMesh, assemble_v_system,
                   build_structured_mesh, solve_v_step)
+from ksdg.config import _PRESETS, evaluate_terms
+from ksdg.vstep import RESIDUAL_RTOL, LinearSolveError
 
 
 @pytest.fixture
@@ -27,12 +30,46 @@ def hand_crisscross_matrices(mesh):
     return s, ml
 
 
+def preset_step(name, pattern, n):
+    """System and inputs of the first chemoattractant step of a preset."""
+    mesh = build_structured_mesh(pattern, n)
+    preset = _PRESETS[name]
+    params = ModelParams(tau=preset["tau"], dt=preset["dt"],
+                         t_end=preset["dt"])
+    u = evaluate_terms(preset["u0"], mesh.barycenters[:, 0],
+                       mesh.barycenters[:, 1])
+    v = (evaluate_terms(preset["v0"], mesh.vertices[:, 0],
+                        mesh.vertices[:, 1])
+         if preset["v0"] else None)
+    return assemble_v_system(mesh, params), v, u
+
+
+def step_rhs(system, v, u):
+    p = system.params
+    rhs = p.k4 * (system.load_matrix @ u)
+    return rhs + (p.tau / p.dt) * system.lumped_mass * v if p.tau else rhs
+
+
 def _dense_oracle(system, v, u):
     """Plain dense solve of the step, independent of the sparse path."""
-    p = system.params
-    rhs = (p.k4 * (system.load_matrix @ u)
-           + (p.tau / p.dt) * system.lumped_mass * v)
-    return np.linalg.solve(system.matrix.toarray(), rhs)
+    return np.linalg.solve(system.matrix.toarray(), step_rhs(system, v, u))
+
+
+class CountingLU:
+    """Stands in for the cached factorization and records every solve."""
+
+    def __init__(self, lu, miss=False):
+        self.lu, self.miss, self.results = lu, miss, []
+
+    def solve(self, rhs):
+        x = np.zeros_like(rhs) if self.miss else self.lu.solve(rhs)
+        self.results.append(x.copy())   # the caller refines x in place
+        return x
+
+
+def counted(system, miss=False):
+    system._lu = CountingLU(system._factorized(), miss)
+    return system._lu
 
 
 class TestAssembly:
@@ -174,3 +211,36 @@ class TestSolve:
         with pytest.raises(ValueError, match="reassemble"):
             solve_v_step(system, np.zeros(mesh.n_vertices),
                          np.zeros(mesh.n_cells), params=ModelParams(k3=2.0))
+
+    def test_one_solve_when_the_first_meets_the_bound(self):
+        system, v, u = preset_step("one_bulge", "mesh1", 16)
+        lu = counted(system)
+        x = solve_v_step(system, v, u)
+        assert len(lu.results) == 1
+        assert np.array_equal(x, lu.results[0])
+
+    def test_refines_once_when_the_first_solve_misses(self):
+        # the elliptic three-bulge system misses the bound after one
+        # solve on this mesh (relative residual about 1.01e-12)
+        system, v, u = preset_step("three_bulges", "mesh1", 64)
+        lu = counted(system)
+        x = solve_v_step(system, v, u)
+        rhs = step_rhs(system, v, u)
+        bound = RESIDUAL_RTOL * np.linalg.norm(rhs)
+        assert len(lu.results) == 2
+        assert np.linalg.norm(rhs - system.matrix @ lu.results[0]) > bound
+        assert np.linalg.norm(rhs - system.matrix @ x) <= bound
+
+    def test_missed_refinement_raises(self):
+        system, v, u = preset_step("one_bulge", "mesh1", 16)
+        lu = counted(system, miss=True)
+        with pytest.raises(LinearSolveError, match="residual"):
+            solve_v_step(system, v, u)
+        assert len(lu.results) == 2
+
+    def test_symmetric_ordering_has_less_fill(self):
+        system = assemble_v_system(build_structured_mesh("mesh2", 16),
+                                   ModelParams())
+        lu = system._factorized()
+        default = spla.splu(system.matrix.tocsc())
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz

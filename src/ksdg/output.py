@@ -20,6 +20,8 @@ boundary edge data with their normals, lengths and barycenter distances
 (see ``dump_mesh``); it is meant for debugging connectivity by eye.
 """
 
+import io
+
 import numpy as np
 
 from .fields import project_p0_to_p1_lumped
@@ -56,6 +58,17 @@ def _write_rows(fh, line, *columns):
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _mesh_text(mesh):
+    """The POINTS, CELLS and CELL_TYPES sections of a snapshot of ``mesh``."""
+    buf = io.StringIO()
+    buf.write("POINTS %d double\n" % mesh.n_vertices)
+    _write_rows(buf, "%.17g %.17g 0\n", mesh.vertices)
+    buf.write("CELLS %d %d\n" % (mesh.n_cells, 4 * mesh.n_cells))
+    _write_rows(buf, "3 %d %d %d\n", mesh.triangles)
+    buf.write("CELL_TYPES %d\n" % mesh.n_cells + "5\n" * mesh.n_cells)
+    return buf.getvalue()
+
+
 def write_diagnostics_csv(rows, path):
     """Write diagnostics rows to the CSV file at ``path``."""
     table = np.array([[getattr(row, name) for name, _ in _CSV_COLUMNS]
@@ -85,11 +98,14 @@ def read_diagnostics_csv(path):
     return rows
 
 
-def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
+def write_vtk_snapshot(mesh, u, v, path, title="snapshot", mesh_text=None):
     """Write one legacy ASCII VTK snapshot of a state to ``path``.
 
     ``u`` is a cell field, ``v`` a vertex field.  See the module
-    docstring for the arrays carried by the file.
+    docstring for the arrays carried by the file.  Returns the text of
+    the mesh sections (points, cells and cell types); passing it back as
+    ``mesh_text`` for a later snapshot of the same mesh skips formatting
+    it again.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -100,15 +116,13 @@ def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
         raise ValueError("v has shape %r, expected (%d,)"
                          % (v.shape, mesh.n_vertices))
     u_p1 = project_p0_to_p1_lumped(mesh, u)
+    if mesh_text is None:
+        mesh_text = _mesh_text(mesh)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 2.0\n%s\nASCII\n"
-                 "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n"
-                 % (title.replace("\n", " "), mesh.n_vertices))
-        _write_rows(fh, "%.17g %.17g 0\n", mesh.vertices)
-        fh.write("CELLS %d %d\n" % (mesh.n_cells, 4 * mesh.n_cells))
-        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
-        fh.write("CELL_TYPES %d\n" % mesh.n_cells + "5\n" * mesh.n_cells)
+                 "DATASET UNSTRUCTURED_GRID\n" % title.replace("\n", " "))
+        fh.write(mesh_text)
         fh.write("POINT_DATA %d\nSCALARS u_p1 double\nLOOKUP_TABLE default\n"
                  % mesh.n_vertices)
         _write_rows(fh, "%.17g\n", u_p1)
@@ -117,6 +131,7 @@ def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
         fh.write("CELL_DATA %d\nSCALARS u_p0 double\nLOOKUP_TABLE default\n"
                  % mesh.n_cells)
         _write_rows(fh, "%.17g\n", u)
+    return mesh_text
 
 
 def dump_mesh(mesh, path):

@@ -330,6 +330,7 @@ def run(cfg):
     rows = []
     state = None
     next_snap = 0
+    mesh_text = None    # formatted by the first snapshot, then reused
     try:
         for state, row in simulate(mesh, cfg.params, u0, v0,
                                    newton=cfg.newton,
@@ -341,8 +342,9 @@ def run(cfg):
                 next_snap += 1
             if cfg.vtk_dir and next_snap > seen:
                 path = os.path.join(cfg.vtk_dir, "snap_%06d.vtk" % state.m)
-                _output.write_vtk_snapshot(mesh, state.u, state.v, path,
-                                           title="t=%.9g" % state.t)
+                mesh_text = _output.write_vtk_snapshot(
+                    mesh, state.u, state.v, path, title="t=%.9g" % state.t,
+                    mesh_text=mesh_text)
     finally:
         if cfg.csv_path:
             _output.write_diagnostics_csv(rows, cfg.csv_path)

@@ -47,3 +47,7 @@ def test_traced_repetition_runs_a_tiny_config(tmp_path):
     # the Krylov solve calls no scipy entry point; no LU fallback fires
     assert result["layers"]["ustep.factorizations"] == 0
     assert result["layers"]["mesh.build_s"] > 0.0
+    assert result["layers"]["output.vtk_s"] > 0.0
+    # the diagonally dominant v system is solved by CG, never factored
+    assert result["layers"]["vstep.solve_s"] > 0.0
+    assert result["layers"]["vstep.factor_s"] == 0.0

@@ -7,8 +7,9 @@ import pytest
 
 from ksdg import (CSV_HEADER, ModelParams, TriMesh, build_structured_mesh,
                   dump_mesh, output, project_p0_to_p1_lumped,
-                  read_diagnostics_csv, simulate, write_diagnostics_csv,
-                  write_vtk_snapshot)
+                  read_diagnostics_csv, simulate, simulation,
+                  write_diagnostics_csv, write_vtk_snapshot)
+from ksdg.config import load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -251,8 +252,16 @@ def extreme_field(n, rng):
 def assert_matches_oracles(mesh, rng, tmp_path):
     u = extreme_field(mesh.n_cells, rng)
     v = extreme_field(mesh.n_vertices, rng)
-    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=1e-05")
+    mesh_text = write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk",
+                                   title="t=1e-05")
     oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=1e-05")
+    assert (tmp_path / "got.vtk").read_bytes() == (
+        tmp_path / "want.vtk").read_bytes()
+    # a later snapshot given the returned mesh text
+    u, v = u[::-1].copy(), v[::-1].copy()
+    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=2e-05",
+                       mesh_text=mesh_text)
+    oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=2e-05")
     assert (tmp_path / "got.vtk").read_bytes() == (
         tmp_path / "want.vtk").read_bytes()
     dump_mesh(mesh, tmp_path / "got.txt")
@@ -287,6 +296,32 @@ class TestBlockWriters:
         assert_matches_oracles(mesh, rng, tmp_path)
         text = (tmp_path / "got.txt").read_text().splitlines()
         assert text[text.index("interior_edges 0") + 1] == "boundary_edges 3"
+
+
+class TestRunSnapshots:
+    def test_mesh_text_formatted_once_per_run(self, monkeypatch, tmp_path):
+        vtk_dir = tmp_path / "snaps"
+        cfg = load_config("[mesh]\npattern = mesh2\nn = 4\n[initial]\n"
+                          "preset = one_bulge\n[params]\nt_end = 2e-6\n"
+                          "[output]\nvtk_dir = %s\nsnapshot_times = "
+                          "0 1e-6 2e-6\n" % vtk_dir)
+        formats, inputs = [], []
+        mesh_text, write = output._mesh_text, output.write_vtk_snapshot
+        monkeypatch.setattr(output, "_mesh_text",
+                            lambda mesh: (formats.append(1),
+                                          mesh_text(mesh))[1])
+        monkeypatch.setattr(
+            output, "write_vtk_snapshot",
+            lambda mesh, u, v, path, **kw: (
+                inputs.append((path, u.copy(), v.copy(), kw["title"])),
+                write(mesh, u, v, path, **kw))[1])
+        mesh = simulation.run(cfg).mesh
+        assert len(formats) == 1
+        assert len(inputs) == 3
+        for path, u, v, title in inputs:
+            oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title=title)
+            assert open(path, "rb").read() == (
+                tmp_path / "want.vtk").read_bytes()
 
 
 def run_demo(name, cwd):

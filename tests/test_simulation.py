@@ -328,7 +328,7 @@ class TestRun:
         monkeypatch.setattr(
             simulation._output, "write_vtk_snapshot",
             lambda mesh, u, v, path, **kw: (written.append(path),
-                                            write(mesh, u, v, path, **kw)))
+                                            write(mesh, u, v, path, **kw))[1])
         simulation.run(cfg)
         names = ["snap_000000.vtk", "snap_000010.vtk", "snap_000012.vtk"]
         assert [os.path.basename(p) for p in written] == names

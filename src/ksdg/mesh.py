@@ -247,10 +247,10 @@ class CellPattern:
 
     The stored entries are the diagonal and ``(K, L)``, ``(L, K)`` for
     every interior edge, with sorted column indices in each row.
-    ``slots`` maps the values to scatter, in the order ``diagonal``
-    (nc), then per edge ``(K, K)``, ``(K, L)``, ``(L, K)``, ``(L, L)``
-    (ne each), to their position in the CSR data array, so one
-    ``np.bincount`` assembles a matrix on the pattern.
+    ``slots`` gives the position in the CSR data array of each entry, in
+    the order ``diagonal`` (nc), then ``(K, L)`` and ``(L, K)`` per edge
+    (ne each).  No two entries share a slot, so a matrix on the pattern
+    is filled by writing its values to their slots.
     """
 
     indptr: np.ndarray
@@ -265,16 +265,15 @@ def _build_cell_pattern(nc, edge_cells):
     cols = np.concatenate((cells, l, k))
     # the keys are unique: two cells share at most one edge
     order = np.argsort(rows * nc + cols, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    diag, kl, lk = np.split(slot, [nc, nc + len(k)])
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
     # scipy takes int32 index arrays as they are; int64 ones it copies
     index = np.int32 if len(order) < 2 ** 31 else np.int64
     pattern = CellPattern(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nc)))
                               ).astype(index),
         indices=cols[order].astype(index),
-        slots=np.concatenate((diag, diag[k], kl, lk, diag[l])))
+        slots=slots)
     return _freeze(pattern)
 
 

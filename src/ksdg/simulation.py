@@ -40,7 +40,7 @@ from . import output as _output
 from .fields import (ModelParams, _check_cellfield, _check_nodefield,
                      integrate_cellfield, p1_square_integral, pos_part,
                      project_p1_to_p0)
-from .ustep import UStepError, aupw_apply, solve_u_step
+from .ustep import NewtonOperator, UStepError, aupw_apply, solve_u_step
 from .vstep import assemble_v_system, solve_v_step
 
 #: Per-step allowance for the energy checks, relative to 1 + |E_eps|.
@@ -120,11 +120,6 @@ def _entropy(mesh, u, shift):
     return float(np.dot(mesh.areas, w * np.log(w)))
 
 
-def _coupling(mesh, u, v):
-    # exact for piecewise-constant u against piecewise-linear v
-    return float(np.dot(mesh.areas * u, project_p1_to_p0(mesh, v)))
-
-
 def _grad_square(mesh, v):
     # w.S.w = sum |K| |grad w|^2; S kills constants, and taking out the
     # mean keeps a large level of v from cancelling in the quadratic form
@@ -132,10 +127,12 @@ def _grad_square(mesh, v):
     return float(w @ (mesh.stiffness @ w))
 
 
-def _energies(mesh, u, v, params):
-    """``(energy, energy_eps)`` of a state; the coupling and gradient terms
-    the two functionals share are evaluated once."""
-    coupling = params.k1 * _coupling(mesh, u, v)
+def _energies(mesh, u, v, params, pi0v):
+    """``(energy, energy_eps)`` of a state, with ``pi0v`` the cell averages
+    of ``v``; the coupling and gradient terms the two functionals share
+    are evaluated once."""
+    # exact for piecewise-constant u against piecewise-linear v
+    coupling = params.k1 * float(np.dot(mesh.areas * u, pi0v))
     gradient = 0.5 * params.k1 * params.k2 / params.k4 * _grad_square(mesh, v)
     square = 0.5 * params.k1 * params.k3 / params.k4
     return (params.k0 * _entropy(mesh, u, 0.0) - coupling + gradient
@@ -154,7 +151,7 @@ def energy(mesh, u, v, params):
     if np.min(u) < 0.0:
         raise ValueError("energy of a negative density (min %g)"
                          % float(np.min(u)))
-    return _energies(mesh, u, v, params)[0]
+    return _energies(mesh, u, v, params, project_p1_to_p0(mesh, v))[0]
 
 
 def energy_eps(mesh, u, v, params):
@@ -170,7 +167,7 @@ def energy_eps(mesh, u, v, params):
     if np.min(u) + params.eps <= 0.0:
         raise ValueError("u + eps must be positive (min %g)"
                          % float(np.min(u)))
-    return _energies(mesh, u, v, params)[1]
+    return _energies(mesh, u, v, params, project_p1_to_p0(mesh, v))[1]
 
 
 def energy_law_lhs(mesh, state_old, state_new, params):
@@ -254,10 +251,15 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
 
     system = assemble_v_system(mesh, params)
     u = u0.astype(float).copy()
-    mu = params.k0 * np.log(u + params.eps) - params.k1 * project_p1_to_p0(mesh, v)
+    pi0v = project_p1_to_p0(mesh, v)
+    mu = params.k0 * np.log(u + params.eps) - params.k1 * pi0v
     state = SimState(0, 0.0, u, v, mu)
-    energies = _energies(mesh, u, v, params)
+    energies = _energies(mesh, u, v, params, pi0v)
     yield state, _make_row(mesh, state, energies, 0.0, 0, 0.0, 0.0, 0.0)
+
+    # one per run, since its matrix is refilled in place; built after
+    # step 0 so that set-up does not pay for it
+    operator = NewtonOperator(mesh, params, truncated)
 
     n_steps = int(round(params.t_end / params.dt))
     for m in range(1, n_steps + 1):
@@ -279,16 +281,17 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
                     "round-off allowance %g" % (-v_clamp, m, -limit), m, t)
             v_new = np.where(v_new < 0.0, 0.0, v_new)
 
+        pi0v = project_p1_to_p0(mesh, v_new)
         try:
-            u_new, mu_new, stats = solve_u_step(mesh, state.u, v_new, params,
-                                                settings=newton,
-                                                truncated=truncated)
+            u_new, mu_new, stats = solve_u_step(
+                mesh, state.u, v_new, params, settings=newton,
+                truncated=truncated, operator=operator, pi0v=pi0v)
         except UStepError as exc:
             raise StepFailureError("density step failed at step %d (t=%g): %s"
                                    % (m, t, exc), m, t, cause=exc) from exc
 
         new_state = SimState(m, t, u_new, v_new, mu_new)
-        new_energies = _energies(mesh, u_new, v_new, params)
+        new_energies = _energies(mesh, u_new, v_new, params, pi0v)
         law = _energy_law_lhs(mesh, state.v, v_new, params, energies[1],
                               new_energies[1], stats.dissipation)
         bound = ENERGY_LAW_RTOL * (1.0 + abs(new_energies[1]))

@@ -23,11 +23,12 @@ gradients are zero) and only the edge sum remains.
 The second block is pointwise, so every Newton iterate sets ``mu(u)``
 exactly and a damped Newton method runs on ``u`` alone, for the mass
 balance.  Its exact Jacobian, the Schur complement ``A + Fmu *
-diag(k0/(u + eps))`` of the coupled one, is assembled by one scatter onto
-the mesh's fixed cell-adjacency pattern and solved by a direct Jacobi-
-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU factorization
-when the Krylov solve misses its tolerance.  Truncation kinks use
-one-sided derivatives: ``d pos(x)/dx`` is 1 for ``x > 0`` and 0
+diag(k0/(u + eps))`` of the coupled one, lives in one matrix per run on
+the mesh's fixed cell-adjacency pattern (``NewtonOperator``).  Each
+Newton iteration overwrites its values in place and solves it by a
+direct Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
+factorization when the Krylov solve misses its tolerance.  Truncation
+kinks use one-sided derivatives: ``d pos(x)/dx`` is 1 for ``x > 0`` and 0
 otherwise, so Jacobian rows of inactive cells stay consistent.
 """
 
@@ -134,52 +135,128 @@ def aupw_apply(mesh, mu, u, ubar):
     mu = _check_cellfield(mesh, mu, "mu")
     u = _check_cellfield(mesh, u, "u")
     ubar = _check_cellfield(mesh, ubar, "ubar")
-    k, l, *_, flux = _flux_terms(mesh, u, mu, truncated=False)
+    k, l = mesh.edge_cells.T
+    *_, flux = _flux_terms(k, l, mesh.edge_weights, u, mu, truncated=False)
     return float(np.dot(flux, ubar[k] - ubar[l]))
 
 
-def _flux_terms(mesh, u, mu, truncated):
-    """Per-edge flux and the quantities its derivatives need."""
-    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    w = mesh.edge_weights
-    jm = mu[k] - mu[l]
+def _flux_terms(k, l, w, u, mu, truncated):
+    """Flux through the edges ``(k, l)`` of weights ``w``, with the edge
+    values its derivatives and round-off scale reuse: ``(mu_K, mu_L, jp,
+    jn, wk, wl, flux)``."""
+    muk, mul = mu[k], mu[l]
+    jm = muk - mul
     jp = np.maximum(jm, 0.0)
     jn = np.maximum(-jm, 0.0)
+    wk, wl = u[k], u[l]
     if truncated:
-        wk = np.maximum(u[k], 0.0)
-        wl = np.maximum(u[l], 0.0)
-    else:
-        wk = u[k]
-        wl = u[l]
+        np.maximum(wk, 0.0, out=wk)
+        np.maximum(wl, 0.0, out=wl)
     flux = w * (jp * wk - jn * wl)
-    return k, l, w, jp, jn, wk, wl, flux
+    return muk, mul, jp, jn, wk, wl, flux
 
 
-def _mass_balance(mesh, u, mu, u_old, params, truncated):
-    """Mass-balance rows and the ``_flux_terms`` they were built from."""
-    terms = _flux_terms(mesh, u, mu, truncated)
-    k, l, flux = terms[0], terms[1], terms[-1]
-    nc = mesh.n_cells
-    r1 = (mesh.areas * (u - u_old) / params.dt
-          + np.bincount(k, weights=flux, minlength=nc)
-          - np.bincount(l, weights=flux, minlength=nc))
-    return r1, terms
+class NewtonOperator:
+    """Newton data of the density step for one mesh, ``params`` and flux,
+    with one matrix ``schur`` on ``mesh.cell_pattern`` whose ``data`` each
+    Newton iteration overwrites in place: an operator serves one solve at
+    a time, and ``simulate`` builds one per run."""
 
+    def __init__(self, mesh, params, truncated=True):
+        self.mesh, self.params, self.truncated = mesh, params, truncated
+        nc, pattern = mesh.n_cells, mesh.cell_pattern
+        self.k, self.l = mesh.edge_cells.T.copy()
+        self.w = mesh.edge_weights
+        self.diagonal, self.kl, self.lk = np.split(
+            pattern.slots, [nc, nc + mesh.n_interior_edges])
+        # rows of the diagonal terms |K|/dt, a_KK and -a_KL: only the
+        # diagonal needs a scatter, each other slot belongs to one edge
+        self.rows = np.concatenate((np.arange(nc), self.k, self.l))
+        self.schur = sp.csr_matrix((np.zeros(len(pattern.indices)),
+                                    pattern.indices, pattern.indptr),
+                                   shape=(nc, nc))
 
-def _roundoff_scale(mesh, u, mu, u_old, terms, params):
-    """Largest round-off magnitude of the mass-balance rows."""
-    k, l, w, *_, wk, wl, _ = terms
-    # u - u_old rounds at the size of its operands.  The flux noise is
-    # dominated by the cancellation in the potential jump, whose absolute
-    # error is set by |mu| itself, amplified by the transported density;
-    # this bound also dominates |flux| since |[mu]| <= |mu_K| + |mu_L|.
-    fscale = w * (np.abs(mu[k]) + np.abs(mu[l])) * np.maximum(np.abs(wk),
-                                                              np.abs(wl))
-    nc = mesh.n_cells
-    scale = (mesh.areas * (np.abs(u) + np.abs(u_old)) / params.dt
-             + np.bincount(k, weights=fscale, minlength=nc)
-             + np.bincount(l, weights=fscale, minlength=nc))
-    return float(scale.max())
+    def mass_balance(self, u, mu, u_old):
+        """Mass-balance rows and the ``_flux_terms`` they come from."""
+        terms = _flux_terms(self.k, self.l, self.w, u, mu, self.truncated)
+        flux, nc = terms[-1], len(u)
+        r1 = (self.mesh.areas * (u - u_old) / self.params.dt
+              + np.bincount(self.k, weights=flux, minlength=nc)
+              - np.bincount(self.l, weights=flux, minlength=nc))
+        return r1, terms
+
+    def roundoff_scale(self, u, u_old, terms):
+        """Largest round-off magnitude of the mass-balance rows."""
+        muk, mul, _, _, wk, wl, _ = terms
+        # u - u_old rounds at the size of its operands.  The flux noise is
+        # dominated by the cancellation in the potential jump, whose error
+        # is set by |mu| itself, amplified by the transported density; this
+        # bound also dominates |flux| since |[mu]| <= |mu_K| + |mu_L|.
+        fscale = self.w * (np.abs(muk) + np.abs(mul)) * np.maximum(
+            np.abs(wk), np.abs(wl))
+        scale = (self.mesh.areas * (np.abs(u) + np.abs(u_old)) / self.params.dt
+                 + np.bincount(self.k, weights=fscale, minlength=len(u))
+                 + np.bincount(self.l, weights=fscale, minlength=len(u)))
+        return float(scale.max())
+
+    def derivatives(self, terms):
+        """Derivatives of each edge flux with respect to ``u_K``, ``u_L``
+        and the jump ``[mu]``, with the kink conventions of
+        ``u_step_jacobian``; ``terms`` come from ``_flux_terms``."""
+        _, _, jp, jn, wk, wl, _ = terms
+        # the truncated weight max(u, 0) is positive exactly where u is
+        hk, hl = (wk > 0.0, wl > 0.0) if self.truncated else (1.0, 1.0)
+        df_duk = self.w * jp * hk
+        df_dul = -self.w * jn * hl
+        # derivative of the jump parts; the subgradient at [mu] = 0 is 0
+        df_djm = self.w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
+        return df_duk, df_dul, df_djm
+
+    def refill(self, u, terms):
+        """Overwrite ``schur`` with the Jacobian ``J`` of the mass balance
+        in ``u`` with ``mu = mu(u)``, from the ``_flux_terms`` at ``u``,
+        and return its diagonal.
+
+        ``J`` is the Schur complement ``A + Fmu * diag(k0/(u+eps))`` of the
+        coupled Jacobian.  Edge ``e = (K, L)`` adds ``a_KK = dF/du_K +
+        dF/d[mu] * k0/(u_K+eps)`` to ``(K, K)`` and ``-a_KK`` to ``(L, K)``,
+        ``a_KL = dF/du_L - dF/d[mu] * k0/(u_L+eps)`` to ``(K, L)`` and
+        ``-a_KL`` to ``(L, L)``; the diagonal also holds ``|K|/dt``.  With
+        the truncated flux ``J`` is a nonsingular M-matrix: its columns sum
+        to ``|K|/dt`` and its off-diagonal entries are nonpositive.
+        """
+        a_kk, a_kl, df_djm = self.derivatives(terms)
+        ratio = self.params.k0 / (u + self.params.eps)
+        a_kk += df_djm * ratio[self.k]
+        a_kl -= df_djm * ratio[self.l]
+        diagonal = np.bincount(self.rows, minlength=len(u), weights=(
+            np.concatenate((self.mesh.areas / self.params.dt, a_kk, -a_kl))))
+        data = self.schur.data
+        data[self.diagonal] = diagonal
+        data[self.kl] = a_kl
+        data[self.lk] = -a_kk
+        return diagonal
+
+    def direction(self, u, mu, r1, terms):
+        """Newton step ``J du = -r1`` at ``u``, ``mu(u)`` by Jacobi-
+        preconditioned BiCGSTAB, or by a sparse LU factorization when the
+        Krylov solve misses ``NEWTON_LINEAR_RTOL`` on the true residual.
+
+        Returns ``(du, krylov_iterations, lu_fallback)``.
+        """
+        diagonal, rhs = self.refill(u, terms), -r1
+        du, iterations = None, 0
+        if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
+            du, iterations = _krylov_solve(self.schur, rhs, diagonal)
+        fallback = du is None
+        if fallback:
+            try:
+                du = spla.splu(self.schur.tocsc()).solve(rhs)
+            except RuntimeError as exc:      # singular factorization
+                raise NewtonDivergenceError("Newton linear system is "
+                                            "singular: %s" % exc,
+                                            u=u, mu=mu) from exc
+        return du, iterations, fallback
 
 
 def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
@@ -199,24 +276,11 @@ def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
         raise ValueError(
             "u + eps has nonpositive entries (min %g); outside the domain "
             "of the logarithm" % float(np.min(u_new)))
-    r1, _ = _mass_balance(mesh, u_new, mu_new, u_old, params, truncated)
+    r1, _ = NewtonOperator(mesh, params, truncated).mass_balance(
+        u_new, mu_new, u_old)
     r2 = mesh.areas * (mu_new - params.k0 * np.log(u_new + params.eps)
                        + params.k1 * pi0v)
     return np.concatenate((r1, r2))
-
-
-def _flux_derivatives(terms, truncated):
-    """Edge cells and the derivatives of each edge flux with respect to
-    ``u_K``, ``u_L`` and the jump ``[mu]``, with the kink conventions of
-    ``u_step_jacobian``; ``terms`` come from ``_flux_terms``."""
-    k, l, w, jp, jn, wk, wl, _ = terms
-    # the truncated weight max(u, 0) is positive exactly where u is
-    hk, hl = (wk > 0.0, wl > 0.0) if truncated else (1.0, 1.0)
-    df_duk = w * jp * hk
-    df_dul = -w * jn * hl
-    # derivative of the jump parts; the subgradient at [mu] = 0 is 0
-    df_djm = w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
-    return k, l, df_duk, df_dul, df_djm
 
 
 def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
@@ -230,9 +294,10 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     mu_new = _check_cellfield(mesh, mu_new, "mu_new")
     _check_cellfield(mesh, u_old, "u_old")
     _check_nodefield(mesh, v_new, "v_new")
-    nc = mesh.n_cells
-    k, l, df_duk, df_dul, df_djm = _flux_derivatives(
-        _flux_terms(mesh, u_new, mu_new, truncated), truncated)
+    op = NewtonOperator(mesh, params, truncated)
+    k, l, nc = op.k, op.l, mesh.n_cells
+    df_duk, df_dul, df_djm = op.derivatives(
+        _flux_terms(k, l, op.w, u_new, mu_new, truncated))
     rows = np.concatenate((k, k, l, l))
     cols = np.concatenate((k, l, k, l))
     data_u = np.concatenate((df_duk, df_dul, -df_duk, -df_dul))
@@ -243,29 +308,6 @@ def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
     dlog = params.k0 * mesh.areas / (u_new + params.eps)
     return sp.bmat([[a, fm],
                     [sp.diags(-dlog), sp.diags(mesh.areas)]]).tocsr()
-
-
-def _schur_system(mesh, u, terms, params, truncated):
-    """Jacobian of the mass balance in ``u`` with ``mu = mu(u)``, on
-    ``mesh.cell_pattern``; ``terms`` are the ``_flux_terms`` at ``u``.
-
-    This is the Schur complement ``A + Fmu * diag(k0/(u+eps))`` of the
-    coupled Jacobian.  Edge ``e = (K, L)`` adds ``a_KK = dF/du_K +
-    dF/d[mu] * k0/(u_K+eps)`` to ``(K, K)`` and ``-a_KK`` to ``(L, K)``,
-    ``a_KL = dF/du_L - dF/d[mu] * k0/(u_L+eps)`` to ``(K, L)`` and
-    ``-a_KL`` to ``(L, L)``; the diagonal also holds ``|K|/dt``.
-    """
-    k, l, a_kk, a_kl, df_djm = _flux_derivatives(terms, truncated)
-    ratio = params.k0 / (u + params.eps)
-    a_kk += df_djm * ratio[k]
-    a_kl -= df_djm * ratio[l]
-    pattern = mesh.cell_pattern
-    data = np.bincount(pattern.slots,
-                       weights=np.concatenate((mesh.areas / params.dt, a_kk,
-                                               a_kl, -a_kk, -a_kl)),
-                       minlength=len(pattern.indices))
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(mesh.n_cells, mesh.n_cells))
 
 
 def _krylov_solve(schur, rhs, diagonal):
@@ -308,33 +350,8 @@ def _krylov_solve(schur, rhs, diagonal):
     return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
 
 
-def _newton_direction(mesh, u, mu, r1, terms, params, truncated):
-    """Newton step ``J du = -r1`` of the mass balance at ``u``, ``mu(u)``.
-
-    ``J`` (``_schur_system``) is a nonsingular M-matrix when the flux is
-    truncated: its columns sum to ``|K|/dt`` and its off-diagonal entries
-    are nonpositive.  It is solved with Jacobi-preconditioned BiCGSTAB; a
-    sparse LU factorization solves it instead when the Krylov solve
-    misses ``NEWTON_LINEAR_RTOL`` on the true residual.
-
-    Returns ``(du, krylov_iterations, lu_fallback)``.
-    """
-    schur, rhs = _schur_system(mesh, u, terms, params, truncated), -r1
-    diagonal = schur.data[mesh.cell_pattern.slots[:mesh.n_cells]]
-    du, iterations = None, 0
-    if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
-        du, iterations = _krylov_solve(schur, rhs, diagonal)
-    fallback = du is None
-    if fallback:
-        try:
-            du = spla.splu(schur.tocsc()).solve(rhs)
-        except RuntimeError as exc:      # singular factorization
-            raise NewtonDivergenceError("Newton linear system is singular: "
-                                        "%s" % exc, u=u, mu=mu) from exc
-    return du, iterations, fallback
-
-
-def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
+def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
+                 operator=None, pi0v=None):
     """Advance the cell density by one time step with Newton's method.
 
     Parameters
@@ -345,6 +362,11 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
     settings : NewtonSettings, optional
     truncated : bool
         Transport the positive part of ``u`` (default) or ``u`` itself.
+    operator : NewtonOperator, optional
+        Built for ``mesh``, ``params`` and ``truncated``, and reused across
+        the steps of a run; a temporary one is built when omitted.
+    pi0v : (nc,) array, optional
+        ``project_p1_to_p0(mesh, v_new)``, when the caller has it already.
 
     Returns
     -------
@@ -364,27 +386,31 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
     if np.min(u_old) < 0.0:
         raise ValueError("u_old must be nonnegative, min is %g"
                          % float(np.min(u_old)))
-    pi0v = project_p1_to_p0(mesh, _check_nodefield(mesh, v_new, "v_new"))
+    v_new = _check_nodefield(mesh, v_new, "v_new")
+    pi0v = (project_p1_to_p0(mesh, v_new) if pi0v is None
+            else _check_cellfield(mesh, pi0v, "pi0v"))
+    op = operator or NewtonOperator(mesh, params, truncated)
+    if (op.mesh, op.params, op.truncated) != (mesh, params, truncated):
+        raise ValueError("operator built for another mesh, params or flux")
 
     def trial(uu):
         """``(rnorm, u, mu, r1, terms)`` at ``uu`` with ``mu = mu(uu)``."""
         mm = params.k0 * np.log(uu + params.eps) - params.k1 * pi0v
-        r1, terms = _mass_balance(mesh, uu, mm, u_old, params, truncated)
+        r1, terms = op.mass_balance(uu, mm, u_old)
         return float(np.max(np.abs(r1))), uu, mm, r1, terms
 
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms = trial(u_old.copy())
     stats = NewtonStats(0, rnorm, False)
     tol = settings.tol_residual         # max(tol, nan) is tol
-    while rnorm > tol and rnorm > max(tol, 16.0 * _EPS * _roundoff_scale(
-            mesh, u, mu, u_old, terms, params)):
+    while rnorm > tol and rnorm > max(tol, 16.0 * _EPS * op.roundoff_scale(
+            u, u_old, terms)):
         if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
         try:
-            du, krylov, fallback = _newton_direction(mesh, u, mu, r1, terms,
-                                                     params, truncated)
+            du, krylov, fallback = op.direction(u, mu, r1, terms)
         except NewtonDivergenceError as exc:    # singular LU factorization
             exc.stats = stats
             raise
@@ -431,7 +457,7 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True):
 
     # max(u, 0) is the same before and after the clamp; jp - jn == [mu]
     *_, jp, jn, _, _, flux = (terms if truncated else
-                              _flux_terms(mesh, u, mu, truncated=True))
+                              _flux_terms(op.k, op.l, op.w, u, mu, True))
     stats.dissipation = float(np.dot(flux, jp - jn))
     stats.converged = True
     stats.clamp = clamp

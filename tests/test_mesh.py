@@ -230,9 +230,9 @@ class TestTriMesh:
                 | {int(a) for a, b in mesh.edge_cells if b == i})
         k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
         cells = np.arange(nc)
-        assert np.array_equal(rows[p.slots], np.concatenate((cells, k, k, l, l)))
+        assert np.array_equal(rows[p.slots], np.concatenate((cells, k, l)))
         assert np.array_equal(p.indices[p.slots],
-                              np.concatenate((cells, k, l, k, l)))
+                              np.concatenate((cells, l, k)))
 
 
 def stiffness_oracle(mesh):

@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +12,7 @@ from ksdg import (ModelParams, NewtonDivergenceError, NewtonSettings,
                   u_step_residual)
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
-from ksdg.ustep import _mass_balance, _newton_direction
+from ksdg.ustep import NewtonOperator
 from ksdg.fields import project_p1_to_p0
 
 from conftest import flip_edges
@@ -207,8 +210,9 @@ class TestJacobian:
         v = rng.uniform(0.0, 1.0, mesh.n_vertices)
         pi0v = project_p1_to_p0(mesh, v)
         mu = params.k0 * np.log(u + params.eps) - params.k1 * pi0v
-        r1, terms = _mass_balance(mesh, u, mu, u_old, params, True)
-        du, _, _ = _newton_direction(mesh, u, mu, r1, terms, params, True)
+        op = NewtonOperator(mesh, params)
+        r1, terms = op.mass_balance(u, mu, u_old)
+        du, _, _ = op.direction(u, mu, r1, terms)
         jac = u_step_jacobian(mesh, u, mu, u_old, v, params)
         full = spla.spsolve(jac.tocsc(), -u_step_residual(mesh, u, mu, u_old,
                                                           v, params))
@@ -309,7 +313,8 @@ class TestSolve:
     def test_each_trial_evaluates_the_flux_once(self, monkeypatch):
         mesh, params, u0, v0 = one_bulge_setup()
         calls = {"flux": 0, "trial": 0}
-        flux_terms, mass_balance = ustep._flux_terms, ustep._mass_balance
+        flux_terms = ustep._flux_terms
+        mass_balance = NewtonOperator.mass_balance
 
         def count_flux(*args):
             calls["flux"] += 1
@@ -320,7 +325,7 @@ class TestSolve:
             return mass_balance(*args)
 
         monkeypatch.setattr(ustep, "_flux_terms", count_flux)
-        monkeypatch.setattr(ustep, "_mass_balance", count_trial)
+        monkeypatch.setattr(NewtonOperator, "mass_balance", count_trial)
         _, _, stats = solve_u_step(mesh, u0, v0, params)
         assert stats.iterations > 0
         assert calls["trial"] > stats.iterations
@@ -329,13 +334,13 @@ class TestSolve:
     def test_roundoff_scale_only_above_tolerance(self, monkeypatch):
         mesh, params, u0, v0 = one_bulge_setup()
         calls = [0]
-        roundoff_scale = ustep._roundoff_scale
+        roundoff_scale = NewtonOperator.roundoff_scale
 
         def count_scale(*args):
             calls[0] += 1
             return roundoff_scale(*args)
 
-        monkeypatch.setattr(ustep, "_roundoff_scale", count_scale)
+        monkeypatch.setattr(NewtonOperator, "roundoff_scale", count_scale)
         _, _, stats = solve_u_step(mesh, u0, v0, params,
                                    NewtonSettings(tol_residual=1e-6))
         assert stats.residual <= 1e-6
@@ -348,7 +353,7 @@ class TestSolve:
         settings = NewtonSettings(tol_residual=1e-6)
         runs = []
         for scale in (0.0, np.nan):
-            monkeypatch.setattr(ustep, "_roundoff_scale",
+            monkeypatch.setattr(NewtonOperator, "roundoff_scale",
                                 lambda *args, scale=scale: scale)
             runs.append(solve_u_step(mesh, u0, v0, params, settings))
         (u_zero, _, zero), (u_nan, _, nan) = runs
@@ -369,6 +374,14 @@ class TestSolve:
                                        truncated=truncated)]
         assert len(rows) == 6
 
+    def test_operator_for_another_step_rejected(self, two_cell_mesh):
+        params = ModelParams(dt=1e-3, t_end=1e-3)
+        for op in (NewtonOperator(two_cell_mesh, ModelParams()),
+                   NewtonOperator(two_cell_mesh, params, truncated=False)):
+            with pytest.raises(ValueError, match="operator"):
+                solve_u_step(two_cell_mesh, np.ones(2), np.zeros(4), params,
+                             operator=op)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             NewtonSettings(tol_residual=0.0)
@@ -387,11 +400,12 @@ def one_bulge_setup():
 
 
 def run_one_bulge(monkeypatch, truncated=True):
-    """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments of
-    every Newton direction solved and the stats of every step."""
+    """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments
+    ``(operator, u, mu, r1, terms)`` of every Newton direction solved and
+    the stats of every step."""
     mesh, params, u0, v0 = one_bulge_setup()
     systems, stats = [], []
-    direction = ustep._newton_direction
+    direction = NewtonOperator.direction
     step = simulation.solve_u_step
 
     def record_direction(*args):
@@ -403,7 +417,7 @@ def run_one_bulge(monkeypatch, truncated=True):
         stats.append(out[2])
         return out
 
-    monkeypatch.setattr(ustep, "_newton_direction", record_direction)
+    monkeypatch.setattr(NewtonOperator, "direction", record_direction)
     monkeypatch.setattr(simulation, "solve_u_step", record_step)
     for _ in simulate(mesh, params, u0, v0, truncated=truncated):
         pass
@@ -422,9 +436,9 @@ def schur_oracle(mesh, u, mu, params, truncated):
     return (a + fm @ sp.diags(ratio)).tocsr()
 
 
-def lu_direction(mesh, u, mu, r1, terms, params, truncated):
+def lu_direction(op, u, mu, r1, terms):
     """Newton direction of the oracle Schur system, solved by LU."""
-    schur = schur_oracle(mesh, u, mu, params, truncated)
+    schur = schur_oracle(op.mesh, u, mu, op.params, op.truncated)
     return spla.splu(schur.tocsc()).solve(-r1), 0, True
 
 
@@ -452,10 +466,10 @@ def scipy_krylov(schur, rhs, diagonal):
     return x, iterations
 
 
-def newton_system(mesh, u, mu, r1, terms, params, truncated):
+def newton_system(op, u, mu, r1, terms):
     """Matrix, right-hand side and diagonal of a Newton direction."""
-    schur = ustep._schur_system(mesh, u, terms, params, truncated)
-    return schur, -r1, schur.diagonal()
+    diagonal = op.refill(u, terms)
+    return op.schur, -r1, diagonal
 
 
 def max_rel_diff(got, ref):
@@ -467,28 +481,34 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("truncated", [True, False])
     def test_pattern_assembly_matches_sparse_oracle(self, rng, pattern, n,
                                                     truncated):
+        # the operator's matrix is filled at a state A, then refilled in
+        # place at a state B whose truncation kinks and zero jumps sit in
+        # other cells: no entry of A may survive
         mesh = build_structured_mesh(pattern, n)
         nc = mesh.n_cells
         params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
-        u = rng.uniform(0.0, 2.0, nc)
-        u[::5] = 0.0                      # truncation kinks
-        if not truncated:
-            u[1::5] = -5e-3               # transported raw
-        mu = rng.normal(size=nc)
-        mu[::3] = 0.4                     # zero jumps
-        terms = ustep._flux_terms(mesh, u, mu, truncated)
-        schur = ustep._schur_system(mesh, u, terms, params, truncated)
-        ref = schur_oracle(mesh, u, mu, params, truncated)
-        assert max_rel_diff(schur.toarray(), ref.toarray()) <= 1e-14
-        # the Jacobi diagonal is read from the pattern's diagonal slots
-        assert np.array_equal(schur.data[mesh.cell_pattern.slots[:nc]],
-                              schur.diagonal())
+        op = NewtonOperator(mesh, params, truncated)
+        for shift in (0, 2):
+            u = rng.uniform(0.0, 2.0, nc)
+            u[shift::5] = 0.0                 # truncation kinks
+            if not truncated:
+                u[shift + 1::5] = -5e-3       # transported raw
+            mu = rng.normal(size=nc)
+            mu[shift // 2::3] = 0.4           # zero jumps
+            _, terms = op.mass_balance(u, mu, u)
+            diagonal = op.refill(u, terms)
+            ref = schur_oracle(mesh, u, mu, params, truncated)
+            assert max_rel_diff(op.schur.toarray(), ref.toarray()) <= 1e-14
+            # the Jacobi diagonal is read from the diagonal slots
+            assert np.array_equal(op.schur.data[op.diagonal],
+                                  op.schur.diagonal())
+            assert np.array_equal(diagonal, op.schur.diagonal())
 
     def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         for args in systems:
-            du, iterations, fallback = _newton_direction(*args)
+            du, iterations, fallback = NewtonOperator.direction(*args)
             ref_du, _, _ = lu_direction(*args)
             assert iterations > 0 and not fallback
             assert max_rel_diff(du, ref_du) <= 1e-10
@@ -503,7 +523,7 @@ class TestNewtonLinearSolve:
     def test_krylov_failure_falls_back_to_lu(self, monkeypatch):
         mesh, params, u0, v0 = one_bulge_setup()
         with monkeypatch.context() as m:
-            m.setattr(ustep, "_newton_direction", lu_direction)
+            m.setattr(NewtonOperator, "direction", lu_direction)
             u_ref, _, ref_stats = solve_u_step(mesh, u0, v0, params)
         monkeypatch.setattr(ustep, "_krylov_solve", lambda *args: (None, 1))
         u, _, stats = solve_u_step(mesh, u0, v0, params)
@@ -563,7 +583,7 @@ class TestNewtonLinearSolve:
         monkeypatch.setattr(ustep, "NEWTON_LINEAR_MAXITER", 2)
         x, iterations = ustep._krylov_solve(*newton_system(*systems[0]))
         assert x is None and iterations == 2
-        du, iterations, fallback = _newton_direction(*systems[0])
+        du, iterations, fallback = NewtonOperator.direction(*systems[0])
         assert fallback and iterations == 2
         assert max_rel_diff(du, lu_direction(*systems[0])[0]) <= 1e-10
         mesh, params, u0, v0 = one_bulge_setup()
@@ -578,12 +598,48 @@ class TestNewtonLinearSolve:
                 sum(s.linear_iterations for s in stats),
                 sum(s.lu_fallbacks for s in stats)) == (10, 50, 0)
 
+    def test_one_sparse_matrix_per_run(self, monkeypatch):
+        # the Newton matrix is refilled in place: one construction for
+        # the run, however many Newton iterations it takes
+        built = [0]
+
+        def csr_matrix(*args, **kwargs):
+            built[0] += 1
+            return sp.csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(ustep, "sp", types.SimpleNamespace(
+            **dict(vars(sp), csr_matrix=csr_matrix)))
+        _, stats = run_one_bulge(monkeypatch)
+        assert sum(s.iterations for s in stats) == 10
+        assert built[0] == 1
+
+    def test_operator_is_per_run(self):
+        # two runs on one mesh with different dt, stepped in turn, each
+        # yield what they yield alone (the truncated and raw fluxes agree
+        # on this data, so they would not tell the runs apart)
+        mesh, params, u0, v0 = one_bulge_setup()
+        runs = [params, dataclasses.replace(params, dt=params.dt / 2,
+                                            t_end=params.t_end / 2)]
+        alone = [[(row, state.u) for state, row in simulate(mesh, p, u0, v0)]
+                 for p in runs]
+        together = [[], []]
+        for pair in zip(*(simulate(mesh, p, u0, v0) for p in runs)):
+            for out, (state, row) in zip(together, pair):
+                out.append((row, state.u))
+        assert len(together[0]) == len(together[1]) == 6
+        for got, ref in zip(together, alone):
+            assert [row for row, _ in got] == [row for row, _ in ref]
+            for (_, u), (_, u_ref) in zip(got, ref):
+                assert np.array_equal(u, u_ref)
+        assert [row for row, _ in alone[0]] != [row for row, _ in alone[1]]
+
     def test_singular_system_raises_divergence(self, two_cell_mesh,
                                                monkeypatch):
-        singular = sp.csr_matrix(np.ones((2, 2)))
-        monkeypatch.setattr(
-            ustep, "_schur_system",
-            lambda *args: singular)
+        def singular(op, u, terms):
+            op.schur.data[:] = 1.0
+            return op.schur.diagonal()
+
+        monkeypatch.setattr(NewtonOperator, "refill", singular)
         with pytest.raises(NewtonDivergenceError, match="singular") as info:
             solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),
                          v_with_cell_averages(2.0, -3.0),

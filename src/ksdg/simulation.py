@@ -311,11 +311,16 @@ def run(cfg):
     Builds the mesh and initial fields described by ``cfg`` (a
     ``RunConfig``) and runs the time loop to ``t_end``.  A legacy-format
     VTK snapshot is written at each step where one or more configured
-    snapshot times come due.  The output directories are created and the
-    CSV file is truncated before the first step, so an unwritable CSV
-    path fails before any work is done; the diagnostics rows are written
-    to it in one go when the run ends.  On a step failure the rows of the
-    accepted steps are still written and the failure is re-raised.
+    snapshot times come due; on a mesh of ``output.WRITER_MIN_CELLS``
+    cells or more, one child process per run (``output.SnapshotWriter``)
+    writes them while the run computes the next step.  The output
+    directories are created and the CSV file is truncated before the
+    first step, so an unwritable CSV path fails before any work is done;
+    the diagnostics rows are written to it in one go when the run ends.
+    On a step failure the rows of the accepted steps are still written
+    and the failure is re-raised, also when a snapshot failed too; a
+    snapshot alone that cannot be written raises ``OSError``.  Returns
+    or raises once every file is complete and the child has exited.
 
     Returns a ``RunResult`` with the mesh, all diagnostics rows and the
     final state.
@@ -334,21 +339,25 @@ def run(cfg):
     state = None
     next_snap = 0
     mesh_text = None    # formatted by the first snapshot, then reused
-    try:
-        for state, row in simulate(mesh, cfg.params, u0, v0,
-                                   newton=cfg.newton,
-                                   truncated=(cfg.flux == "truncated")):
-            rows.append(row)
-            seen = next_snap
-            while (next_snap < len(snap_times)
-                   and state.t >= snap_times[next_snap] - 0.5 * cfg.params.dt):
-                next_snap += 1
-            if cfg.vtk_dir and next_snap > seen:
-                path = os.path.join(cfg.vtk_dir, "snap_%06d.vtk" % state.m)
-                mesh_text = _output.write_vtk_snapshot(
-                    mesh, state.u, state.v, path, title="t=%.9g" % state.t,
-                    mesh_text=mesh_text)
-    finally:
-        if cfg.csv_path:
-            _output.write_diagnostics_csv(rows, cfg.csv_path)
+    with _output.SnapshotWriter() as writer:
+        try:
+            for state, row in simulate(mesh, cfg.params, u0, v0,
+                                       newton=cfg.newton,
+                                       truncated=(cfg.flux == "truncated")):
+                rows.append(row)
+                seen = next_snap
+                while (next_snap < len(snap_times)
+                       and state.t >= snap_times[next_snap]
+                       - 0.5 * cfg.params.dt):
+                    next_snap += 1
+                if cfg.vtk_dir and next_snap > seen:
+                    path = os.path.join(cfg.vtk_dir,
+                                        "snap_%06d.vtk" % state.m)
+                    mesh_text = _output.write_vtk_snapshot(
+                        mesh, state.u, state.v, path,
+                        title="t=%.9g" % state.t, mesh_text=mesh_text,
+                        writer=writer)
+        finally:
+            if cfg.csv_path:
+                _output.write_diagnostics_csv(rows, cfg.csv_path)
     return RunResult(mesh, rows, state)

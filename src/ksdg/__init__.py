@@ -10,16 +10,15 @@ with mass lumping.
 """
 
 from .mesh import (MESH1, MESH2, HypothesesReport, MeshError, TriMesh,
-                   build_structured_mesh, edge_distance, pattern_edge_distance,
+                   build_structured_mesh, pattern_edge_distance,
                    verify_hypotheses)
-from .fields import (ModelParams, edge_jumps, integrate_cellfield, jump,
-                     neg_part, p1_gradients, p1_integral, p1_square_integral,
+from .fields import (ModelParams, integrate_cellfield, p1_square_integral,
                      pos_part, project_p0_to_p1_lumped, project_p1_to_p0)
 from .vstep import (LinearSolveError, VStepSystem, assemble_v_system,
                     solve_v_step)
 from .ustep import (MassDriftError, NewtonDivergenceError, NewtonSettings,
                     NewtonStats, PositivityError, UStepError, aupw_apply,
-                    solve_u_step, u_step_jacobian, u_step_residual)
+                    solve_u_step)
 from .simulation import (DiagnosticsRow, EnergyLawError, RunResult,
                          SimState, StepFailureError, energy, energy_eps,
                          energy_law_lhs, run, simulate)
@@ -33,15 +32,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MESH1", "MESH2", "HypothesesReport", "MeshError", "TriMesh",
-    "build_structured_mesh", "edge_distance",
-    "pattern_edge_distance", "verify_hypotheses",
-    "ModelParams", "edge_jumps", "integrate_cellfield", "jump", "neg_part",
-    "p1_gradients", "p1_integral", "p1_square_integral", "pos_part",
+    "build_structured_mesh", "pattern_edge_distance", "verify_hypotheses",
+    "ModelParams", "integrate_cellfield", "p1_square_integral", "pos_part",
     "project_p0_to_p1_lumped", "project_p1_to_p0",
     "LinearSolveError", "VStepSystem", "assemble_v_system", "solve_v_step",
     "MassDriftError", "NewtonDivergenceError", "NewtonSettings",
     "NewtonStats", "PositivityError", "UStepError", "aupw_apply",
-    "solve_u_step", "u_step_jacobian", "u_step_residual",
+    "solve_u_step",
     "DiagnosticsRow", "EnergyLawError", "RunResult", "SimState",
     "StepFailureError",
     "energy", "energy_eps", "energy_law_lhs", "run", "simulate",

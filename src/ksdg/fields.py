@@ -9,16 +9,13 @@ plain numpy arrays:
 * vertex fields: one value per vertex (continuous piecewise linear),
   shape ``(n_vertices,)``; used for the chemoattractant concentration.
 
-This module provides the jump and positive/negative-part algebra on
-interior edges, the projections between the two spaces, and the exact
-integrals the solver and its diagnostics need.
+This module provides the positive part, the projections between the two
+spaces, and the exact integrals the solver and its diagnostics need.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mesh import _resolve_interior_edge
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,6 @@ def pos_part(x):
     return np.maximum(x, 0.0)
 
 
-def neg_part(x):
-    """-min(x, 0), elementwise; ``x == pos_part(x) - neg_part(x)``."""
-    return np.maximum(-np.asarray(x, dtype=float), 0.0)
-
-
 def _check_cellfield(mesh, values, name="cell field"):
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_cells,):
@@ -82,23 +74,6 @@ def _check_nodefield(mesh, values, name="vertex field"):
         raise ValueError("%s has shape %r, expected (%d,)"
                          % (name, values.shape, mesh.n_vertices))
     return values
-
-
-def jump(mesh, values, edge):
-    """Jump ``v_K - v_L`` of a cell field across one interior edge.
-
-    ``edge`` is an interior edge index or a vertex pair; boundary edges
-    have no two-sided jump and raise ``MeshError``.
-    """
-    values = _check_cellfield(mesh, values)
-    k, l = mesh.edge_cells[_resolve_interior_edge(mesh, edge)]
-    return float(values[k] - values[l])
-
-
-def edge_jumps(mesh, values):
-    """Jumps ``v_K - v_L`` over all interior edges at once."""
-    values = _check_cellfield(mesh, values)
-    return values[mesh.edge_cells[:, 0]] - values[mesh.edge_cells[:, 1]]
 
 
 def project_p1_to_p0(mesh, values):
@@ -126,19 +101,6 @@ def integrate_cellfield(mesh, values):
     """Integral of a cell field over the domain: ``sum(|K| * u_K)``."""
     values = _check_cellfield(mesh, values)
     return float(np.dot(mesh.areas, values))
-
-
-def p1_gradients(mesh, values):
-    """Constant per-cell gradient of a vertex field, shape ``(nt, 2)``."""
-    values = _check_nodefield(mesh, values)
-    return np.einsum("ta,tax->tx", values[mesh.triangles],
-                     mesh.lambda_gradients)
-
-
-def p1_integral(mesh, values):
-    """Exact integral of a vertex field (vertex quadrature)."""
-    values = _check_nodefield(mesh, values)
-    return float(np.dot(mesh.vertex_areas, values))
 
 
 def p1_square_integral(mesh, values, lumped=False):

@@ -225,9 +225,6 @@ class TriMesh:
             self._stiffness_triangles = self.triangles
         return self._stiffness
 
-    def domain_area(self):
-        return float(self.areas.sum())
-
     def __repr__(self):
         pat = self.pattern or "custom"
         return ("TriMesh(%s, %d vertices, %d triangles, %d interior edges)"
@@ -296,35 +293,6 @@ def _lengths_and_normals(verts, pairs, toward):
     side = np.einsum("ij,ij->i", normals, toward)
     normals[side < 0.0] *= -1.0
     return lengths, normals, side
-
-
-def _find_pair(pairs, n_vertices, pair):
-    """Row of the lexicographically sorted ``pairs`` equal to ``pair``."""
-    if len(pair) != 2 or not 0 <= pair[0] <= pair[1] < n_vertices:
-        return None
-    keys = pairs[:, 0] * n_vertices + pairs[:, 1]
-    key = pair[0] * n_vertices + pair[1]
-    i = int(np.searchsorted(keys, key))
-    return i if i < len(keys) and keys[i] == key else None
-
-
-def _resolve_interior_edge(mesh, edge):
-    """Map an interior edge index or a vertex pair to the edge index."""
-    if isinstance(edge, (int, np.integer)):
-        i = int(edge)
-        if not 0 <= i < mesh.n_interior_edges:
-            raise MeshError(
-                "interior edge index %d out of range [0, %d)"
-                % (i, mesh.n_interior_edges))
-        return i
-    pair = tuple(sorted(int(v) for v in edge))
-    i = _find_pair(mesh.edge_vertices, mesh.n_vertices, pair)
-    if i is not None:
-        return i
-    if _find_pair(mesh.bedge_vertices, mesh.n_vertices, pair) is not None:
-        raise MeshError(
-            "edge %r is a boundary edge; it has no neighbor pair" % (pair,))
-    raise MeshError("no edge with vertex pair %r" % (pair,))
 
 
 def square_tiling(pattern, n, domain):
@@ -420,15 +388,6 @@ def pattern_edge_distance(pattern, square_side, edge_length):
     e = np.asarray(edge_length, dtype=float)
     factor = 2.0 if pattern == MESH1 else 1.0
     return factor * l * l / (3.0 * e)
-
-
-def edge_distance(mesh, edge):
-    """Distance between the barycenters of the two cells sharing an edge.
-
-    ``edge`` is either an interior edge index or a vertex pair.  Asking
-    for a boundary edge raises ``MeshError``.
-    """
-    return float(mesh.edge_dists[_resolve_interior_edge(mesh, edge)])
 
 
 @dataclass

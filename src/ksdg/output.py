@@ -29,7 +29,8 @@ import signal
 
 import numpy as np
 
-from .fields import project_p0_to_p1_lumped
+from .fields import (_check_cellfield, _check_nodefield,
+                     project_p0_to_p1_lumped)
 
 #: Rows formatted by one ``%``.  Bounds the Python objects and the text
 #: alive at once: one block per section of a mesh2 n=128 snapshot raised
@@ -123,14 +124,8 @@ def write_vtk_snapshot(mesh, u, v, path, title="snapshot", mesh_text=None,
     writer's next hand-off or ``close`` returns; otherwise it is complete
     when this returns.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (mesh.n_cells,):
-        raise ValueError("u has shape %r, expected (%d,)"
-                         % (u.shape, mesh.n_cells))
-    if v.shape != (mesh.n_vertices,):
-        raise ValueError("v has shape %r, expected (%d,)"
-                         % (v.shape, mesh.n_vertices))
+    u = _check_cellfield(mesh, u, "u")
+    v = _check_nodefield(mesh, v, "v")
     if mesh_text is None:
         mesh_text = _mesh_text(mesh)
     if writer is None or mesh.n_cells < WRITER_MIN_CELLS:

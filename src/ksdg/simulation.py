@@ -221,12 +221,12 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
 
     The first yield is the initial state (step 0); each later yield is
     one accepted time step, for the ``t_end / dt`` steps of the horizon.
-    ``u0`` must be nonnegative.  With ``tau = 1`` a nonnegative
-    ``v0`` is required; with ``tau = 0`` the chemoattractant history is
-    never read, so any supplied ``v0`` is discarded and the stored field
-    starts at zero.  Step failures raise ``StepFailureError``, and an
-    ``energy_law_lhs`` above ``ENERGY_LAW_RTOL * (1 + |E_eps|)`` its
-    subclass ``EnergyLawError``.
+    ``u0`` must be finite and nonnegative.  With ``tau = 1`` a finite,
+    nonnegative ``v0`` is required; with ``tau = 0`` the chemoattractant
+    history is never read, so any supplied ``v0`` is discarded and the
+    stored field starts at zero.  Step failures raise
+    ``StepFailureError``, and an ``energy_law_lhs`` that is NaN or above
+    ``ENERGY_LAW_RTOL * (1 + |E_eps|)`` its subclass ``EnergyLawError``.
     """
     if not isinstance(params, ModelParams):
         raise TypeError("params must be a ModelParams")
@@ -240,6 +240,8 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
         if v0 is None:
             raise ValueError("v0 is required when tau = 1")
         v0 = _check_nodefield(mesh, v0, "v0")
+        if not np.all(np.isfinite(v0)):
+            raise ValueError("v0 has non-finite entries")
         if np.min(v0) < 0.0:
             raise ValueError("v0 must be nonnegative when tau = 1, min is %g"
                              % float(np.min(v0)))
@@ -295,7 +297,7 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
         law = _energy_law_lhs(mesh, state.v, v_new, params, energies[1],
                               new_energies[1], stats.dissipation)
         bound = ENERGY_LAW_RTOL * (1.0 + abs(new_energies[1]))
-        if law > bound:
+        if not law <= bound:            # NaN breaks the law too
             raise EnergyLawError(
                 "energy law broken at step %d (t=%g): left-hand side %g "
                 "exceeds %g" % (m, t, law, bound), m, t, state, new_state)

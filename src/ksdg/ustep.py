@@ -1,11 +1,13 @@
 """Nonlinear upwind step for the cell density.
 
-After the chemoattractant update, each time step solves a coupled system
-for the cell density ``u`` and the regularized chemical potential ``mu``,
-both piecewise constant:
+After the chemoattractant update, each time step solves the mass balance
+for the piecewise-constant cell density ``u``,
 
     |K| (u_K - uold_K) / dt  +  sum of signed upwind edge fluxes  = 0,
-    |K| (mu_K - k0*log(u_K + eps) + k1 * (cell average of v))     = 0.
+
+driven by the regularized chemical potential, also piecewise constant,
+
+    mu_K = k0*log(u_K + eps) - k1 * (cell average of v).
 
 The flux through an interior edge e with cells (K, L) and barycenter
 distance D is
@@ -20,16 +22,14 @@ discrete energy balance.  Since the unknowns are piecewise constant, the
 volume part of the transport form vanishes identically (cellwise
 gradients are zero) and only the edge sum remains.
 
-The second block is pointwise, so every Newton iterate sets ``mu(u)``
-exactly and a damped Newton method runs on ``u`` alone, for the mass
-balance.  Its exact Jacobian, the Schur complement ``A + Fmu *
-diag(k0/(u + eps))`` of the coupled one, lives in one matrix per run on
-the mesh's fixed cell-adjacency pattern (``NewtonOperator``).  Each
-Newton iteration overwrites its values in place and solves it by a
-direct Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
-factorization when the Krylov solve misses its tolerance.  Truncation
-kinks use one-sided derivatives: ``d pos(x)/dx`` is 1 for ``x > 0`` and 0
-otherwise, so Jacobian rows of inactive cells stay consistent.
+The potential is pointwise in ``u``, so every Newton iterate sets
+``mu(u)`` exactly and a damped Newton method runs on ``u`` alone.  Its
+exact Jacobian, with the one-sided kink derivatives stated at
+``NewtonOperator.refill``, lives in one matrix per run on the mesh's
+fixed cell-adjacency pattern (``NewtonOperator``).  Each Newton
+iteration overwrites its values in place and solves it by a direct
+Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
+factorization when the Krylov solve misses its tolerance.
 """
 
 from dataclasses import dataclass
@@ -199,36 +199,31 @@ class NewtonOperator:
                  + np.bincount(self.l, weights=fscale, minlength=len(u)))
         return float(scale.max())
 
-    def derivatives(self, terms):
-        """Derivatives of each edge flux with respect to ``u_K``, ``u_L``
-        and the jump ``[mu]``, with the kink conventions of
-        ``u_step_jacobian``; ``terms`` come from ``_flux_terms``."""
-        _, _, jp, jn, wk, wl, _ = terms
-        # the truncated weight max(u, 0) is positive exactly where u is
-        hk, hl = (wk > 0.0, wl > 0.0) if self.truncated else (1.0, 1.0)
-        df_duk = self.w * jp * hk
-        df_dul = -self.w * jn * hl
-        # derivative of the jump parts; the subgradient at [mu] = 0 is 0
-        df_djm = self.w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
-        return df_duk, df_dul, df_djm
-
     def refill(self, u, terms):
         """Overwrite ``schur`` with the Jacobian ``J`` of the mass balance
         in ``u`` with ``mu = mu(u)``, from the ``_flux_terms`` at ``u``,
         and return its diagonal.
 
-        ``J`` is the Schur complement ``A + Fmu * diag(k0/(u+eps))`` of the
-        coupled Jacobian.  Edge ``e = (K, L)`` adds ``a_KK = dF/du_K +
-        dF/d[mu] * k0/(u_K+eps)`` to ``(K, K)`` and ``-a_KK`` to ``(L, K)``,
-        ``a_KL = dF/du_L - dF/d[mu] * k0/(u_L+eps)`` to ``(K, L)`` and
-        ``-a_KL`` to ``(L, L)``; the diagonal also holds ``|K|/dt``.  With
-        the truncated flux ``J`` is a nonsingular M-matrix: its columns sum
-        to ``|K|/dt`` and its off-diagonal entries are nonpositive.
+        By the chain rule ``J = A + Fmu * diag(k0/(u+eps))``, with ``A``
+        and ``Fmu`` the derivatives of the mass balance in ``u`` and in
+        ``mu``.  Edge ``e = (K, L)`` adds ``a_KK = dF/du_K + dF/d[mu] *
+        k0/(u_K+eps)`` to ``(K, K)`` and ``-a_KK`` to ``(L, K)``, ``a_KL =
+        dF/du_L - dF/d[mu] * k0/(u_L+eps)`` to ``(K, L)`` and ``-a_KL`` to
+        ``(L, L)``; the diagonal also holds ``|K|/dt``.  The kinks take
+        one-sided derivatives: ``d max(u, 0)/du`` is 1 for ``u > 0`` and 0
+        otherwise, and the jump-sign indicator at ``[mu] = 0`` is 0, so
+        the rows of inactive cells stay consistent.  With the truncated
+        flux ``J`` is a nonsingular M-matrix: its columns sum to
+        ``|K|/dt`` and its off-diagonal entries are nonpositive.
         """
-        a_kk, a_kl, df_djm = self.derivatives(terms)
+        _, _, jp, jn, wk, wl, _ = terms
+        # the truncated weight max(u, 0) is positive exactly where u is
+        hk, hl = (wk > 0.0, wl > 0.0) if self.truncated else (1.0, 1.0)
+        # dF/d[mu] of the jump parts
+        df_djm = self.w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
         ratio = self.params.k0 / (u + self.params.eps)
-        a_kk += df_djm * ratio[self.k]
-        a_kl -= df_djm * ratio[self.l]
+        a_kk = self.w * jp * hk + df_djm * ratio[self.k]
+        a_kl = -self.w * jn * hl - df_djm * ratio[self.l]
         diagonal = np.bincount(self.rows, minlength=len(u), weights=(
             np.concatenate((self.mesh.areas / self.params.dt, a_kk, -a_kl))))
         data = self.schur.data
@@ -257,57 +252,6 @@ class NewtonOperator:
                                             "singular: %s" % exc,
                                             u=u, mu=mu) from exc
         return du, iterations, fallback
-
-
-def u_step_residual(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
-    """Residual of the coupled density/potential system, length 2*nc.
-
-    Block 1 (cells) holds the discrete mass balance including the upwind
-    edge fluxes; block 2 holds the pointwise potential relation against
-    the cell average of ``v_new``.  Raises ``ValueError`` when
-    ``u_new + eps`` is not positive (the iterate left the admissible
-    region).
-    """
-    u_new = _check_cellfield(mesh, u_new, "u_new")
-    mu_new = _check_cellfield(mesh, mu_new, "mu_new")
-    u_old = _check_cellfield(mesh, u_old, "u_old")
-    pi0v = project_p1_to_p0(mesh, _check_nodefield(mesh, v_new, "v_new"))
-    if np.min(u_new) + params.eps <= 0.0:
-        raise ValueError(
-            "u + eps has nonpositive entries (min %g); outside the domain "
-            "of the logarithm" % float(np.min(u_new)))
-    r1, _ = NewtonOperator(mesh, params, truncated).mass_balance(
-        u_new, mu_new, u_old)
-    r2 = mesh.areas * (mu_new - params.k0 * np.log(u_new + params.eps)
-                       + params.k1 * pi0v)
-    return np.concatenate((r1, r2))
-
-
-def u_step_jacobian(mesh, u_new, mu_new, u_old, v_new, params, truncated=True):
-    """Exact sparse Jacobian of ``u_step_residual``, shape (2nc, 2nc).
-
-    Unknown ordering is ``[u; mu]``.  Kink conventions: the truncation
-    derivative at ``u = 0`` and the jump-sign indicator at ``[mu] = 0``
-    are both taken as 0.
-    """
-    u_new = _check_cellfield(mesh, u_new, "u_new")
-    mu_new = _check_cellfield(mesh, mu_new, "mu_new")
-    _check_cellfield(mesh, u_old, "u_old")
-    _check_nodefield(mesh, v_new, "v_new")
-    op = NewtonOperator(mesh, params, truncated)
-    k, l, nc = op.k, op.l, mesh.n_cells
-    df_duk, df_dul, df_djm = op.derivatives(
-        _flux_terms(k, l, op.w, u_new, mu_new, truncated))
-    rows = np.concatenate((k, k, l, l))
-    cols = np.concatenate((k, l, k, l))
-    data_u = np.concatenate((df_duk, df_dul, -df_duk, -df_dul))
-    data_m = np.concatenate((df_djm, -df_djm, -df_djm, df_djm))
-    fu = sp.coo_matrix((data_u, (rows, cols)), shape=(nc, nc)).tocsr()
-    fm = sp.coo_matrix((data_m, (rows, cols)), shape=(nc, nc)).tocsr()
-    a = fu + sp.diags(mesh.areas / params.dt)
-    dlog = params.k0 * mesh.areas / (u_new + params.eps)
-    return sp.bmat([[a, fm],
-                    [sp.diags(-dlog), sp.diags(mesh.areas)]]).tocsr()
 
 
 def _krylov_solve(schur, rhs, diagonal):

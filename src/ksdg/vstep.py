@@ -123,7 +123,7 @@ def _pcg(matrix, rhs, d, q):
     return None
 
 
-def solve_v_step(system, v_prev, u_prev, params=None):
+def solve_v_step(system, v_prev, u_prev):
     """Advance the chemoattractant field by one time step.
 
     Parameters
@@ -134,19 +134,12 @@ def solve_v_step(system, v_prev, u_prev, params=None):
         ``tau = 1``, ignored when ``tau = 0``.
     u_prev : (nc,) array
         Current cell density.
-    params : ModelParams, optional
-        Must match the parameters the system was assembled with.
 
     The solve (see the module docstring) is accepted when ``|A v - rhs|
     <= 1e-12 (|A| |v| + |rhs|)`` in the max norm.  A factor solve missing
     it is refined once; ``LinearSolveError`` is raised if it still misses.
     """
-    mesh = system.mesh
-    if params is None:
-        params = system.params
-    elif params != system.params:
-        raise ValueError("params differ from the ones the system was "
-                         "assembled with; reassemble")
+    mesh, params = system.mesh, system.params
     u_prev = _check_cellfield(mesh, u_prev, "u_prev")
 
     rhs = params.k4 * (system.load_matrix @ u_prev)

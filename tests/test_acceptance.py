@@ -23,8 +23,8 @@ import ksdg
 from ksdg import (ModelParams, build_structured_mesh, load_config,
                   pattern_edge_distance, run, solve_v_step, verify_hypotheses)
 from ksdg.config import _PRESETS, evaluate_terms
-from ksdg.fields import pos_part
-from ksdg.ustep import aupw_apply, u_step_jacobian, u_step_residual
+from ksdg.fields import pos_part, project_p1_to_p0
+from ksdg.ustep import NewtonOperator, aupw_apply
 from ksdg.vstep import assemble_v_system
 
 CORNER = np.array([0.5, 0.5])
@@ -212,21 +212,30 @@ class TestC7Oracles:
         params = ModelParams(k0=2.0, k1=0.5, eps=1e-3, dt=1e-2,
                              t_end=1e-2)
         u = np.array([0.8, 1.9])
-        mu = np.array([-0.3, 0.4])
         u_old = np.array([1.0, 1.5])
         v = np.array([0.0, 3.0 * 0.6, 0.0, 3.0 * (-0.1)])
-        jm = mu[0] - mu[1]
-        flux = 3.0 * (max(jm, 0.0) * u[0] - max(-jm, 0.0) * u[1])
+        # the potential the solver sets, mu(u) = k0 log(u + eps) - k1 pi0v
+        mu = (params.k0 * np.log(u + params.eps)
+              - params.k1 * project_p1_to_p0(two_cell_mesh, v))
+        jm = 2.0 * (np.log(0.8 + 1e-3) - np.log(1.9 + 1e-3)) - 0.5 * 0.7
+        assert jm < 0.0     # cell 1 is the donor: F = 3 [mu] u_1
+        flux = 3.0 * jm * u[1]
         expected = np.array([
             0.5 * (u[0] - u_old[0]) / params.dt + flux,
             0.5 * (u[1] - u_old[1]) / params.dt - flux,
-            0.5 * (mu[0] - 2.0 * np.log(u[0] + 1e-3) + 0.5 * 0.6),
-            0.5 * (mu[1] - 2.0 * np.log(u[1] + 1e-3) + 0.5 * (-0.1)),
         ])
-        got = u_step_residual(two_cell_mesh, u, mu, u_old, v, params)
+        op = NewtonOperator(two_cell_mesh, params)
+        got, terms = op.mass_balance(u, mu, u_old)
         assert np.max(np.abs(got - expected)) <= 1e-13
-        _passline("7b", "two-cell residual matches its symbolic expansion "
-                        "to 1e-13")
+        # d[mu]/du_0 = 2/(u_0 + eps), d[mu]/du_1 = -2/(u_1 + eps)
+        df_du0 = 3.0 * u[1] * 2.0 / (u[0] + 1e-3)
+        df_du1 = 3.0 * (jm - u[1] * 2.0 / (u[1] + 1e-3))
+        jac = np.array([[0.5 / params.dt + df_du0, df_du1],
+                        [-df_du0, 0.5 / params.dt - df_du1]])
+        op.refill(u, terms)
+        assert np.max(np.abs(op.schur.toarray() - jac)) <= 1e-13
+        _passline("7b", "two-cell mass balance at mu(u) and its Newton "
+                        "matrix match their symbolic expansions to 1e-13")
 
     def test_c_v_solve_matches_dense_oracle(self):
         mesh = build_structured_mesh("mesh1", 8)
@@ -248,26 +257,30 @@ class TestC7Oracles:
         mesh = build_structured_mesh("mesh1", 4, (0, 1, 0, 1))
         nc = mesh.n_cells
         params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
+        op = NewtonOperator(mesh, params)
         rng = np.random.default_rng(99)
         h = 1e-6
         worst = 0.0
         for _ in range(50):
             u = rng.uniform(0.5, 1.5, nc)
-            mu = rng.uniform(-1.0, 1.0, nc)
             u_old = rng.uniform(0.2, 1.0, nc)
-            v = rng.uniform(0.0, 1.0, mesh.n_vertices)
-            jac = u_step_jacobian(mesh, u, mu, u_old, v, params)
-            d = rng.normal(size=2 * nc)
+            pi0v = project_p1_to_p0(mesh, rng.uniform(0.0, 1.0,
+                                                      mesh.n_vertices))
+
+            def residual(uu):
+                # the density-only residual: mass balance at mu(uu)
+                mu = params.k0 * np.log(uu + params.eps) - params.k1 * pi0v
+                return op.mass_balance(uu, mu, u_old)
+
+            op.refill(u, residual(u)[1])
+            d = rng.normal(size=nc)
             d /= np.linalg.norm(d)
-            rp = u_step_residual(mesh, u + h * d[:nc], mu + h * d[nc:],
-                                 u_old, v, params)
-            rm = u_step_residual(mesh, u - h * d[:nc], mu - h * d[nc:],
-                                 u_old, v, params)
-            worst = max(worst, float(np.max(np.abs(
-                jac @ d - (rp - rm) / (2 * h)))))
+            fd = (residual(u + h * d)[0] - residual(u - h * d)[0]) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(op.schur @ d - fd))))
         assert worst <= 1e-6
-        _passline("7d", "Jacobian-vector products match central differences "
-                        "on 50 random admissible points (worst %.3g)" % worst)
+        _passline("7d", "Newton-matrix-vector products match central "
+                        "differences of the density residual on 50 random "
+                        "admissible points (worst %.3g)" % worst)
 
 
 @pytest.mark.slow

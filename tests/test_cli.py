@@ -2,8 +2,16 @@ import os
 
 import pytest
 
+import ksdg
 from ksdg import read_diagnostics_csv
 from ksdg.cli import main
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from ksdg import *", namespace)
+    for name in ksdg.__all__:
+        assert namespace[name] is getattr(ksdg, name)
 
 
 def test_presets_lists_three_names(capsys):

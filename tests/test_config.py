@@ -63,6 +63,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="section"):
             load_config("n = 4\n")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            load_config("[mesh]\npattern mesh1\n")
+
+    def test_domain_needs_four_numbers(self):
+        with pytest.raises(ConfigError, match="line 2: domain: expects 4"):
+            load_config("[mesh]\ndomain = 0 1 0\n")
+
+    def test_unknown_pattern_rejected(self):
+        with pytest.raises(ConfigError, match="pattern must be"):
+            load_config("[mesh]\npattern = mesh3\n")
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             load_config("[initial]\npreset = four_bulges\n")
@@ -241,6 +253,10 @@ class TestTerms:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_terms("ripple(1, 2)")
+
+    def test_non_numeric_argument_rejected(self):
+        with pytest.raises(ConfigError, match="non-numeric"):
+            parse_terms("gaussian(1, 2, x, 0)")
 
     def test_gibberish_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):

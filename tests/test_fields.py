@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ksdg import (MeshError, ModelParams, TriMesh, build_structured_mesh,
-                  edge_jumps, integrate_cellfield, jump, neg_part,
-                  p1_gradients, p1_integral, p1_square_integral, pos_part,
+from ksdg import (ModelParams, TriMesh, build_structured_mesh,
+                  integrate_cellfield, p1_square_integral, pos_part,
                   project_p0_to_p1_lumped, project_p1_to_p0)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -12,16 +11,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False,
 
 
 class TestPosNegParts:
+    # the negative part is the positive part of -x, as the upwind flux
+    # takes it
     @pytest.mark.parametrize("x,pos,neg", [(-2.0, 0.0, 2.0),
                                            (3.0, 3.0, 0.0),
                                            (0.0, 0.0, 0.0)])
     def test_examples(self, x, pos, neg):
         assert pos_part(x) == pos
-        assert neg_part(x) == neg
+        assert pos_part(-x) == neg
 
     @given(finite)
     def test_decomposition(self, x):
-        p, n = pos_part(x), neg_part(x)
+        p, n = pos_part(x), pos_part(-x)
         assert p >= 0 and n >= 0
         assert p * n == 0
         assert p - n == x
@@ -29,45 +30,7 @@ class TestPosNegParts:
     def test_elementwise(self):
         x = np.array([-1.5, 0.0, 2.5])
         assert np.array_equal(pos_part(x), [0.0, 0.0, 2.5])
-        assert np.array_equal(neg_part(x), [1.5, 0.0, 0.0])
-
-
-class TestJump:
-    @pytest.mark.parametrize("uk,ul,expected", [(2.0, 0.5, 1.5),
-                                                (3.0, 3.0, 0.0),
-                                                (0.0, 1.25, -1.25)])
-    def test_examples(self, two_cell_mesh, uk, ul, expected):
-        u = np.array([uk, ul])
-        assert jump(two_cell_mesh, u, 0) == expected
-        pair = tuple(two_cell_mesh.edge_vertices[0])
-        assert jump(two_cell_mesh, u, pair) == expected
-        assert jump(two_cell_mesh, u, pair[::-1]) == expected
-
-    def test_antisymmetric_under_swapping_values(self, two_cell_mesh):
-        u = np.array([1.7, -0.4])
-        assert jump(two_cell_mesh, u, 0) == -jump(two_cell_mesh, u[::-1], 0)
-
-    def test_vectorized_matches_scalar(self, unit_square_mesh1, rng):
-        u = rng.normal(size=unit_square_mesh1.n_cells)
-        jumps = edge_jumps(unit_square_mesh1, u)
-        for e in range(unit_square_mesh1.n_interior_edges):
-            assert jumps[e] == jump(unit_square_mesh1, u, e)
-
-    def test_boundary_edge_rejected(self, two_cell_mesh):
-        pair = tuple(two_cell_mesh.bedge_vertices[0])
-        with pytest.raises(MeshError, match="boundary"):
-            jump(two_cell_mesh, np.array([1.0, 2.0]), pair)
-
-    # (1, 3) is the other diagonal; (-1, 6) shares the scalar key
-    # -1*4 + 6 with the edge (0, 2)
-    @pytest.mark.parametrize("pair", [(1, 3), (-1, 6)])
-    def test_missing_pair_rejected(self, two_cell_mesh, pair):
-        with pytest.raises(MeshError, match="no edge with vertex pair"):
-            jump(two_cell_mesh, np.array([1.0, 2.0]), pair)
-
-    def test_wrong_length_rejected(self, two_cell_mesh):
-        with pytest.raises(ValueError, match="shape"):
-            jump(two_cell_mesh, np.zeros(3), 0)
+        assert np.array_equal(pos_part(-x), [1.5, 0.0, 0.0])
 
 
 class TestProjections:
@@ -149,8 +112,10 @@ class TestIntegrals:
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_p1_integral_two_routes_agree(self, unit_square_mesh2, rng):
+        # vertex quadrature with the lumped-mass weights is exact on P1
+        # fields, as is the area-weighted cell average
         v = rng.normal(size=unit_square_mesh2.n_vertices)
-        via_vertices = p1_integral(unit_square_mesh2, v)
+        via_vertices = float(np.dot(unit_square_mesh2.vertex_areas, v))
         via_cells = float(np.dot(unit_square_mesh2.areas,
                                  project_p1_to_p0(unit_square_mesh2, v)))
         assert abs(via_vertices - via_cells) <= 1e-13 * (1 + abs(via_cells))
@@ -168,9 +133,12 @@ class TestIntegrals:
         assert p1_square_integral(mesh, v) == pytest.approx(1.0 / 12.0)
 
     def test_p1_gradients_linear_field(self, unit_square_mesh1):
+        # the basis gradients the stiffness is built from reproduce the
+        # gradient of a linear field in every cell
         v = (2.0 * unit_square_mesh1.vertices[:, 0]
              - 0.5 * unit_square_mesh1.vertices[:, 1])
-        g = p1_gradients(unit_square_mesh1, v)
+        g = np.einsum("ta,tax->tx", v[unit_square_mesh1.triangles],
+                      unit_square_mesh1.lambda_gradients)
         assert np.allclose(g, [2.0, -0.5], atol=1e-13)
 
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from ksdg import (MeshError, ModelParams, TriMesh, assemble_v_system,
-                  build_structured_mesh, dump_mesh, edge_distance,
-                  pattern_edge_distance, verify_hypotheses)
+                  build_structured_mesh, dump_mesh, pattern_edge_distance,
+                  verify_hypotheses)
 
 from conftest import flip_edges
 
@@ -51,7 +51,7 @@ class TestBuildStructured:
     def test_rectangle_tiled_by_squares(self):
         mesh = build_structured_mesh("mesh2", 4, (0, 2, 0, 1))
         assert mesh.square_side == pytest.approx(0.5)
-        assert mesh.domain_area() == pytest.approx(2.0)
+        assert mesh.areas.sum() == pytest.approx(2.0)
 
     def test_rectangle_not_tileable(self):
         with pytest.raises(MeshError, match="tiled"):
@@ -129,33 +129,6 @@ class TestEdgeData:
         pairs = {tuple(p) for p in mesh.edge_vertices}
         assert len(pairs) == mesh.n_interior_edges
 
-    def test_edge_distance_by_index_and_pair(self):
-        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        d0 = edge_distance(mesh, 0)
-        pair = tuple(mesh.edge_vertices[0])
-        assert edge_distance(mesh, pair) == d0
-        assert edge_distance(mesh, pair[::-1]) == d0
-
-    # the corner diagonals cross at the center vertex 4, so they are no
-    # edges; (0, 9) shares the scalar key 0*5 + 9 with the edge (1, 4)
-    @pytest.mark.parametrize("pair", [(0, 3), (2, 1), (0, 9), (4, 4)])
-    def test_edge_distance_missing_pair_rejected(self, pair):
-        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        assert [1, 4] in mesh.edge_vertices.tolist()
-        with pytest.raises(MeshError, match="no edge with vertex pair"):
-            edge_distance(mesh, pair)
-
-    def test_edge_distance_boundary_pair_rejected(self):
-        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        pair = tuple(mesh.bedge_vertices[0])
-        with pytest.raises(MeshError, match="boundary"):
-            edge_distance(mesh, pair)
-
-    def test_edge_distance_bad_index(self):
-        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        with pytest.raises(MeshError, match="out of range"):
-            edge_distance(mesh, mesh.n_interior_edges)
-
 
 class TestHypotheses:
     def test_mesh1_passes(self):
@@ -191,6 +164,17 @@ class TestTriMesh:
     def test_bad_vertex_index_rejected(self):
         with pytest.raises(MeshError, match="out of range"):
             TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
+
+    @pytest.mark.parametrize("vertices,triangles,message", [
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)], r"\(nv, 2\)"),
+        ([0, 1, 2], [(0, 1, 2)], r"\(nv, 2\)"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1)], r"\(nt, 3\)"),
+        ([(0, 0), (1, 0), (0, 1)], np.zeros((0, 3)), "at least one"),
+        ([(0, 0), (1, 0), (0, 1)], [(-1, 1, 2)], "out of range"),
+    ])
+    def test_malformed_arrays_rejected(self, vertices, triangles, message):
+        with pytest.raises(MeshError, match=message):
+            TriMesh(vertices, triangles)
 
     def test_vertex_areas_sum_to_domain(self, unit_square_mesh2):
         assert unit_square_mesh2.vertex_areas.sum() == pytest.approx(1.0)

@@ -332,6 +332,7 @@ def run_demo(name, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestDemos:
@@ -353,6 +354,14 @@ class TestDemos:
         assert np.array_equal([float(e[-1]) for e in edges], mesh.edge_dists)
         assert text[-mesh.n_boundary_edges - 1] == (
             "boundary_edges %d" % mesh.n_boundary_edges)
+
+    @pytest.mark.parametrize("name,line", [
+        ("03_corner_migration.py", "peak distance to the corner: "),
+        ("04_multi_peak_collapse.py", "final peak count: "),
+        ("05_scheme_guarantees.py", "steps run:                  50"),
+    ], ids=["corner_migration", "multi_peak_collapse", "scheme_guarantees"])
+    def test_demo_runs(self, tmp_path, name, line):
+        assert line in run_demo(name, tmp_path)
 
     def test_single_peak_demo_writes_a_parseable_snapshot(self, tmp_path):
         run_demo("02_single_peak_collapse.py", tmp_path)

@@ -6,9 +6,8 @@ import pytest
 
 from ksdg import (EnergyLawError, ModelParams, NewtonSettings, SimState,
                   StepFailureError, build_structured_mesh, energy, energy_eps,
-                  energy_law_lhs, integrate_cellfield, p1_gradients,
-                  p1_square_integral, pos_part, read_diagnostics_csv,
-                  simulate)
+                  energy_law_lhs, integrate_cellfield, p1_square_integral,
+                  pos_part, read_diagnostics_csv, simulate)
 from ksdg import simulation
 from ksdg.config import PRESET_NAMES, build_mesh, initial_fields, load_config
 from ksdg.simulation import ENERGY_LAW_RTOL
@@ -25,6 +24,11 @@ _QA = np.array([
     [0.091576213509771, 0.816847572980459, 0.091576213509771],
     [0.091576213509771, 0.091576213509771, 0.816847572980459],
 ])
+
+
+def p1_gradients(mesh, v):
+    """Constant per-cell gradient of a vertex field, shape ``(nt, 2)``."""
+    return np.einsum("ta,tax->tx", v[mesh.triangles], mesh.lambda_gradients)
 
 
 def energy_by_quadrature(mesh, u, v, params):
@@ -235,6 +239,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match="v0"):
             list(simulate(mesh, ModelParams(), u0, None))
 
+    def test_params_must_be_model_params(self):
+        mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
+        with pytest.raises(TypeError, match="ModelParams"):
+            list(simulate(mesh, {"dt": 1e-6}, u0, v0))
+
     def test_negative_initial_density_rejected(self):
         mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
         u0 = np.array([1.0, -0.1, 1.0, 1.0])
@@ -246,6 +255,20 @@ class TestSimulate:
         with pytest.raises(ValueError, match="v0"):
             list(simulate(mesh, ModelParams(), np.ones(4),
                           np.array([0.0, -1.0, 0.0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_attractant_rejected_for_parabolic(self, bad):
+        # the v-step would take inf <= inf in both of its stop tests and
+        # go on from v = 0
+        mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
+        v0[3] = bad
+        with pytest.raises(ValueError, match="v0 has non-finite"):
+            list(simulate(mesh, ModelParams(tau=1, dt=1e-6, t_end=3e-6),
+                          u0, v0))
+        # the elliptic step discards v0
+        rows = [r for _, r in simulate(
+            mesh, ModelParams(tau=0, dt=1e-5, t_end=2e-5), u0, v0)]
+        assert len(rows) == 3 and np.isfinite(rows[-1].max_v)
 
     def test_step_failure_reports_step_and_time(self):
         mesh, u0, v0 = collapse_setup(n=8)
@@ -288,6 +311,24 @@ class TestSimulate:
         assert np.array_equal(err.old.u, u0)
         assert err.new.u.shape == u0.shape and err.new.mu is not None
 
+
+    def test_nan_energy_law_raises(self, monkeypatch):
+        # a NaN left-hand side is no bound kept: the step with a NaN
+        # density fails at once, with both states
+        mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
+        step = simulation.solve_u_step
+
+        def nan_cell(*args, **kwargs):
+            u, mu, stats = step(*args, **kwargs)
+            u[0] = np.nan
+            return u, mu, stats
+
+        monkeypatch.setattr(simulation, "solve_u_step", nan_cell)
+        with pytest.raises(EnergyLawError, match="left-hand side nan") as info:
+            list(simulate(mesh, ModelParams(dt=1e-6, t_end=3e-6), u0, v0))
+        err = info.value
+        assert err.step == 1 and (err.old.m, err.new.m) == (0, 1)
+        assert np.array_equal(err.old.u, u0) and np.isnan(err.new.u[0])
 
 @pytest.mark.parametrize("dt", [1e-7, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2])
 @pytest.mark.parametrize("flux", ["truncated", "non_truncated"])

@@ -221,13 +221,6 @@ class TestSolve:
         v_new = solve_v_step(system, None, np.full(mesh.n_cells, 2.0))
         assert np.allclose(v_new, 2.0, rtol=1e-10)
 
-    def test_params_mismatch_rejected(self):
-        mesh = build_structured_mesh("mesh2", 2)
-        system = assemble_v_system(mesh, ModelParams())
-        with pytest.raises(ValueError, match="reassemble"):
-            solve_v_step(system, np.zeros(mesh.n_vertices),
-                         np.zeros(mesh.n_cells), params=ModelParams(k3=2.0))
-
     def test_one_solve_when_the_first_meets_the_bound(self):
         # the elliptic three-bulge system is solved by its factor
         system, v, u = preset_step("three_bulges", "mesh1", 16)

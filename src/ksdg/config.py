@@ -33,8 +33,6 @@ from .ustep import NewtonSettings
 
 PRESET_NAMES = ("one_bulge", "three_bulges", "multi_peak")
 
-_FLUX_CHOICES = ("truncated", "non_truncated")
-
 
 class ConfigError(ValueError):
     """Malformed configuration text; ``line`` is 1-based when known."""
@@ -194,7 +192,6 @@ class RunConfig:
     vtk_dir: str = None
     snapshot_times: tuple = ()
     newton: NewtonSettings = field(default_factory=NewtonSettings)
-    flux: str = "truncated"
 
     def __post_init__(self):
         if self.pattern not in ("mesh1", "mesh2"):
@@ -207,9 +204,6 @@ class RunConfig:
         if self.preset is not None and self.preset not in PRESET_NAMES:
             raise ConfigError("unknown preset %r; choose from %s"
                               % (self.preset, ", ".join(PRESET_NAMES)))
-        if self.flux not in _FLUX_CHOICES:
-            raise ConfigError("flux must be 'truncated' or 'non_truncated', "
-                              "got %r" % (self.flux,))
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.params.t_end:
                 raise ConfigError("snapshot time %g outside [0, t_end=%g]"
@@ -322,7 +316,6 @@ _SCHEMA = (
     ("output", "snapshot_times", None, "snapshot_times", _floats, _gs),
     ("newton", "tol_residual", "newton", "tol_residual", _float, _g),
     ("newton", "max_iters", "newton", "max_iters", _int, _d),
-    ("scheme", "flux", None, "flux", str, str),
 )
 
 _ROWS = {(row[0], row[1]): row for row in _SCHEMA}

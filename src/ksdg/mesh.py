@@ -410,12 +410,12 @@ class HypothesesReport:
         return max(self.orthogonality_violation, self.angle_violation)
 
 
-def verify_hypotheses(mesh, tol=HYPOTHESIS_TOL):
+def verify_hypotheses(mesh):
     """Check barycenter-segment orthogonality and acuteness of a mesh.
 
     Returns a ``HypothesesReport`` with per-check booleans and the worst
-    numeric violation of each check.  Meshes from
-    ``build_structured_mesh`` pass both checks.
+    numeric violation of each check; a check passes within
+    ``HYPOTHESIS_TOL``.  Meshes from ``build_structured_mesh`` pass both.
     """
     verts = mesh.vertices
     tang = verts[mesh.edge_vertices[:, 1]] - verts[mesh.edge_vertices[:, 0]]
@@ -435,8 +435,8 @@ def verify_hypotheses(mesh, tol=HYPOTHESIS_TOL):
     angle_excess = max(worst - 0.5 * np.pi, 0.0)
 
     return HypothesesReport(
-        orthogonality_ok=ortho <= tol,
-        acute_ok=angle_excess <= tol,
+        orthogonality_ok=ortho <= HYPOTHESIS_TOL,
+        acute_ok=angle_excess <= HYPOTHESIS_TOL,
         orthogonality_violation=ortho,
         angle_violation=angle_excess,
     )

@@ -216,7 +216,7 @@ def _make_row(mesh, state, energies, law, iters, residual, u_clamp, v_clamp):
     )
 
 
-def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
+def simulate(mesh, params, u0, v0=None, newton=None):
     """Generate ``(state, diagnostics_row)`` pairs for a whole run.
 
     The first yield is the initial state (step 0); each later yield is
@@ -261,7 +261,7 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
 
     # one per run, since its matrix is refilled in place; built after
     # step 0 so that set-up does not pay for it
-    operator = NewtonOperator(mesh, params, truncated)
+    operator = NewtonOperator(mesh, params)
 
     n_steps = int(round(params.t_end / params.dt))
     for m in range(1, n_steps + 1):
@@ -287,7 +287,7 @@ def simulate(mesh, params, u0, v0=None, newton=None, truncated=True):
         try:
             u_new, mu_new, stats = solve_u_step(
                 mesh, state.u, v_new, params, settings=newton,
-                truncated=truncated, operator=operator, pi0v=pi0v)
+                operator=operator, pi0v=pi0v)
         except UStepError as exc:
             raise StepFailureError("density step failed at step %d (t=%g): %s"
                                    % (m, t, exc), m, t, cause=exc) from exc
@@ -344,8 +344,7 @@ def run(cfg):
     with _output.SnapshotWriter() as writer:
         try:
             for state, row in simulate(mesh, cfg.params, u0, v0,
-                                       newton=cfg.newton,
-                                       truncated=(cfg.flux == "truncated")):
+                                       newton=cfg.newton):
                 rows.append(row)
                 seen = next_snap
                 while (next_snap < len(snap_times)

@@ -14,13 +14,13 @@ distance D is
 
     F_e = (|e| / D) * (pos([mu]) * w_K - neg([mu]) * w_L),
 
-with ``[mu] = mu_K - mu_L`` and ``w`` the positive part of ``u`` (the
-truncated flux; ``truncated=False`` transports ``u`` itself).  The donor
-cell is selected by the sign of the potential jump, which is what makes
-the step mass-conservative, positivity-preserving and compatible with the
-discrete energy balance.  Since the unknowns are piecewise constant, the
-volume part of the transport form vanishes identically (cellwise
-gradients are zero) and only the edge sum remains.
+with ``[mu] = mu_K - mu_L`` and ``w = max(u, 0)`` the positive part of
+``u``: the flux is truncated, so a cell without density sends none.  The
+donor cell is selected by the sign of the potential jump, which is what
+makes the step mass-conservative, positivity-preserving and compatible
+with the discrete energy balance.  Since the unknowns are piecewise
+constant, the volume part of the transport form vanishes identically
+(cellwise gradients are zero) and only the edge sum remains.
 
 The potential is pointwise in ``u``, so every Newton iterate sets
 ``mu(u)`` exactly and a damped Newton method runs on ``u`` alone.  Its
@@ -136,34 +136,31 @@ def aupw_apply(mesh, mu, u, ubar):
     u = _check_cellfield(mesh, u, "u")
     ubar = _check_cellfield(mesh, ubar, "ubar")
     k, l = mesh.edge_cells.T
-    *_, flux = _flux_terms(k, l, mesh.edge_weights, u, mu, truncated=False)
+    *_, flux = _flux_terms(k, l, mesh.edge_weights, u, mu)
     return float(np.dot(flux, ubar[k] - ubar[l]))
 
 
-def _flux_terms(k, l, w, u, mu, truncated):
-    """Flux through the edges ``(k, l)`` of weights ``w``, with the edge
-    values its derivatives and round-off scale reuse: ``(mu_K, mu_L, jp,
-    jn, wk, wl, flux)``."""
+def _flux_terms(k, l, w, u, mu):
+    """Flux of the density ``u`` through the edges ``(k, l)`` of weights
+    ``w``, with the edge values its derivatives and round-off scale
+    reuse: ``(mu_K, mu_L, jp, jn, wk, wl, flux)``."""
     muk, mul = mu[k], mu[l]
     jm = muk - mul
     jp = np.maximum(jm, 0.0)
     jn = np.maximum(-jm, 0.0)
     wk, wl = u[k], u[l]
-    if truncated:
-        np.maximum(wk, 0.0, out=wk)
-        np.maximum(wl, 0.0, out=wl)
     flux = w * (jp * wk - jn * wl)
     return muk, mul, jp, jn, wk, wl, flux
 
 
 class NewtonOperator:
-    """Newton data of the density step for one mesh, ``params`` and flux,
-    with one matrix ``schur`` on ``mesh.cell_pattern`` whose ``data`` each
+    """Newton data of the density step for one mesh and ``params``, with
+    one matrix ``schur`` on ``mesh.cell_pattern`` whose ``data`` each
     Newton iteration overwrites in place: an operator serves one solve at
     a time, and ``simulate`` builds one per run."""
 
-    def __init__(self, mesh, params, truncated=True):
-        self.mesh, self.params, self.truncated = mesh, params, truncated
+    def __init__(self, mesh, params):
+        self.mesh, self.params = mesh, params
         nc, pattern = mesh.n_cells, mesh.cell_pattern
         self.k, self.l = mesh.edge_cells.T.copy()
         self.w = mesh.edge_weights
@@ -178,7 +175,7 @@ class NewtonOperator:
 
     def mass_balance(self, u, mu, u_old):
         """Mass-balance rows and the ``_flux_terms`` they come from."""
-        terms = _flux_terms(self.k, self.l, self.w, u, mu, self.truncated)
+        terms = _flux_terms(self.k, self.l, self.w, np.maximum(u, 0.0), mu)
         flux, nc = terms[-1], len(u)
         r1 = (self.mesh.areas * (u - u_old) / self.params.dt
               + np.bincount(self.k, weights=flux, minlength=nc)
@@ -212,13 +209,13 @@ class NewtonOperator:
         ``(L, L)``; the diagonal also holds ``|K|/dt``.  The kinks take
         one-sided derivatives: ``d max(u, 0)/du`` is 1 for ``u > 0`` and 0
         otherwise, and the jump-sign indicator at ``[mu] = 0`` is 0, so
-        the rows of inactive cells stay consistent.  With the truncated
-        flux ``J`` is a nonsingular M-matrix: its columns sum to
-        ``|K|/dt`` and its off-diagonal entries are nonpositive.
+        the rows of inactive cells stay consistent.  ``J`` is a
+        nonsingular M-matrix: its columns sum to ``|K|/dt`` and its
+        off-diagonal entries are nonpositive.
         """
         _, _, jp, jn, wk, wl, _ = terms
         # the truncated weight max(u, 0) is positive exactly where u is
-        hk, hl = (wk > 0.0, wl > 0.0) if self.truncated else (1.0, 1.0)
+        hk, hl = wk > 0.0, wl > 0.0
         # dF/d[mu] of the jump parts
         df_djm = self.w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
         ratio = self.params.k0 / (u + self.params.eps)
@@ -294,8 +291,8 @@ def _krylov_solve(schur, rhs, diagonal):
     return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
 
 
-def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
-                 operator=None, pi0v=None):
+def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
+                 pi0v=None):
     """Advance the cell density by one time step with Newton's method.
 
     Parameters
@@ -304,11 +301,9 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
     v_new : (nv,) array
         Chemoattractant field already advanced to the new time level.
     settings : NewtonSettings, optional
-    truncated : bool
-        Transport the positive part of ``u`` (default) or ``u`` itself.
     operator : NewtonOperator, optional
-        Built for ``mesh``, ``params`` and ``truncated``, and reused across
-        the steps of a run; a temporary one is built when omitted.
+        Built for ``mesh`` and ``params``, and reused across the steps of
+        a run; a temporary one is built when omitted.
     pi0v : (nc,) array, optional
         ``project_p1_to_p0(mesh, v_new)``, when the caller has it already.
 
@@ -322,7 +317,10 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
 
     Raises
     ------
-    NewtonDivergenceError, PositivityError, MassDriftError
+    NewtonDivergenceError
+        Also for a non-finite residual, at the initial guess or at an
+        accepted trial.
+    PositivityError, MassDriftError
     """
     if settings is None:
         settings = NewtonSettings()
@@ -333,9 +331,9 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
     v_new = _check_nodefield(mesh, v_new, "v_new")
     pi0v = (project_p1_to_p0(mesh, v_new) if pi0v is None
             else _check_cellfield(mesh, pi0v, "pi0v"))
-    op = operator or NewtonOperator(mesh, params, truncated)
-    if (op.mesh, op.params, op.truncated) != (mesh, params, truncated):
-        raise ValueError("operator built for another mesh, params or flux")
+    op = operator or NewtonOperator(mesh, params)
+    if (op.mesh, op.params) != (mesh, params):
+        raise ValueError("operator built for another mesh or params")
 
     def trial(uu):
         """``(rnorm, u, mu, r1, terms)`` at ``uu`` with ``mu = mu(uu)``."""
@@ -346,9 +344,14 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms = trial(u_old.copy())
     stats = NewtonStats(0, rnorm, False)
-    tol = settings.tol_residual         # max(tol, nan) is tol
-    while rnorm > tol and rnorm > max(tol, 16.0 * _EPS * op.roundoff_scale(
-            u, u_old, terms)):
+    while True:
+        if not np.isfinite(rnorm):
+            raise NewtonDivergenceError(
+                "non-finite residual %g after %d iterations"
+                % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
+        if rnorm <= settings.tol_residual or rnorm <= 16.0 * _EPS * (
+                op.roundoff_scale(u, u_old, terms)):
+            break
         if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
@@ -400,8 +403,7 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, truncated=True,
             % (mass_new - mass_old, MASS_RTOL))
 
     # max(u, 0) is the same before and after the clamp; jp - jn == [mu]
-    *_, jp, jn, _, _, flux = (terms if truncated else
-                              _flux_terms(op.k, op.l, op.w, u, mu, True))
+    *_, jp, jn, _, _, flux = terms
     stats.dissipation = float(np.dot(flux, jp - jn))
     stats.converged = True
     stats.clamp = clamp

@@ -136,8 +136,9 @@ def solve_v_step(system, v_prev, u_prev):
         Current cell density.
 
     The solve (see the module docstring) is accepted when ``|A v - rhs|
-    <= 1e-12 (|A| |v| + |rhs|)`` in the max norm.  A factor solve missing
-    it is refined once; ``LinearSolveError`` is raised if it still misses.
+    <= 1e-12 (|A| |v| + |rhs|)`` in the max norm, a bound that must be
+    finite.  A factor solve missing it is refined once;
+    ``LinearSolveError`` is raised if it still misses.
     """
     mesh, params = system.mesh, system.params
     u_prev = _check_cellfield(mesh, u_prev, "u_prev")
@@ -156,9 +157,9 @@ def solve_v_step(system, v_prev, u_prev):
         system._rows = d, np.max(sums / d) - 1.0, np.max(sums)
     d, q, norm_a = system._rows
 
-    def misses(x, r):                       # true for a NaN residual too
+    def misses(x, r):       # true for a NaN residual or an infinite bound
         return not (abs(r).max() <= RESIDUAL_RTOL * (
-            norm_a * abs(x).max() + abs(rhs).max()))
+            norm_a * abs(x).max() + abs(rhs).max()) < np.inf)
 
     solved = _pcg(matrix, rhs, d, q) if q <= JACOBI_RADIUS_MAX else None
     if solved is None or misses(*solved):

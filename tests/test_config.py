@@ -20,7 +20,6 @@ class TestParsing:
         assert (p.k0, p.k1, p.k2, p.k3, p.k4) == (1, 1, 1, 1, 1)
         assert p.tau == 1 and p.eps == 1e-10
         assert cfg.domain == (-0.5, 0.5, -0.5, 0.5)
-        assert cfg.flux == "truncated"
 
     def test_preset_only_config(self):
         cfg = load_config("[initial]\npreset = one_bulge\n")
@@ -85,9 +84,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="snapshot"):
             load_config(text)
 
-    def test_bad_flux_rejected(self):
-        with pytest.raises(ConfigError, match="flux"):
-            load_config("[scheme]\nflux = upstream\n")
+    def test_scheme_section_rejected(self):
+        # the flux is the truncated upwind flux; no section selects it
+        with pytest.raises(ConfigError,
+                           match=r"^line 1: unknown section \[scheme\]$"):
+            load_config("[scheme]\nflux = truncated\n")
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = load_config("# header\n\n[mesh]\nn = 8  # squares\n")
@@ -208,8 +209,7 @@ def run_configs(draw):
         csv_path=draw(_path),
         vtk_dir=draw(_path),
         snapshot_times=tuple(draw(st.lists(times, max_size=4))),
-        newton=newton,
-        flux=draw(st.sampled_from(["truncated", "non_truncated"])))
+        newton=newton)
 
 
 class TestRoundTrip:
@@ -221,7 +221,7 @@ class TestRoundTrip:
          "[params]\nk0 = 0.5\ntau = 0\ndt = 1e-4\nt_end = 2e-3\n"
          "[initial]\nu0 = gaussian(5, 20, 0.5, 0.5) + coscos(1, 2)\n"
          "[output]\ncsv = out.csv\nsnapshot_times = 0 1e-3\n"
-         "[newton]\nmax_iters = 11\n[scheme]\nflux = non_truncated\n"),
+         "[newton]\nmax_iters = 11\n"),
     ])
     def test_serialize_parse_identity(self, text):
         cfg = load_config(text)

@@ -324,13 +324,13 @@ class TestRunSnapshots:
                 tmp_path / "want.vtk").read_bytes()
 
 
-def run_demo(name, cwd):
+def run_demo(name, cwd, *argv):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name),
+                           *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -355,13 +355,15 @@ class TestDemos:
         assert text[-mesh.n_boundary_edges - 1] == (
             "boundary_edges %d" % mesh.n_boundary_edges)
 
-    @pytest.mark.parametrize("name,line", [
-        ("03_corner_migration.py", "peak distance to the corner: "),
-        ("04_multi_peak_collapse.py", "final peak count: "),
-        ("05_scheme_guarantees.py", "steps run:                  50"),
-    ], ids=["corner_migration", "multi_peak_collapse", "scheme_guarantees"])
-    def test_demo_runs(self, tmp_path, name, line):
-        assert line in run_demo(name, tmp_path)
+    @pytest.mark.parametrize("name,argv,line", [
+        ("03_corner_migration.py", (), "peak distance to the corner: "),
+        ("04_multi_peak_collapse.py", (), "final peak count: "),
+        ("05_scheme_guarantees.py", (), "steps run:                  50"),
+        ("06_time_step_sweep.py", ("--n", "4"), "0 of 42 runs failed"),
+    ], ids=["corner_migration", "multi_peak_collapse", "scheme_guarantees",
+            "time_step_sweep"])
+    def test_demo_runs(self, tmp_path, name, argv, line):
+        assert line in run_demo(name, tmp_path, *argv)
 
     def test_single_peak_demo_writes_a_parseable_snapshot(self, tmp_path):
         run_demo("02_single_peak_collapse.py", tmp_path)

@@ -286,16 +286,6 @@ class TestSimulate:
         assert rows[0].mass == pytest.approx(
             integrate_cellfield(mesh, u0), rel=1e-15)
 
-    def test_flux_variants_coincide_on_positive_densities(self):
-        # with strictly positive densities the truncation never engages,
-        # so both flux variants produce the same trajectory exactly
-        mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
-        p = ModelParams(dt=1e-6, t_end=5e-6)
-        rows_t = [r for _, r in simulate(mesh, p, u0 + 1.0, v0)]
-        rows_r = [r for _, r in simulate(mesh, p, u0 + 1.0, v0,
-                                         truncated=False)]
-        assert rows_t == rows_r
-
     def test_energy_law_violation_raises(self, monkeypatch):
         mesh, u0, v0 = collapse_setup(n=4, pattern="mesh1")
         p = ModelParams(dt=1e-6, t_end=3e-6)
@@ -331,20 +321,23 @@ class TestSimulate:
         assert np.array_equal(err.old.u, u0) and np.isnan(err.new.u[0])
 
 @pytest.mark.parametrize("dt", [1e-7, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2])
-@pytest.mark.parametrize("flux", ["truncated", "non_truncated"])
+@pytest.mark.parametrize("constants", [
+    "", "k0 = 0.5\nk1 = 2\nk2 = 0.5\nk3 = 2\nk4 = 3\n",
+], ids=["defaults", "rescaled"])
 @pytest.mark.parametrize("pattern", ["mesh1", "mesh2"])
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_five_preset_steps_keep_the_guarantees(preset, pattern, flux, dt):
-    # the scheme is well posed at every dt; Newton must not abort
+def test_five_preset_steps_keep_the_guarantees(preset, pattern, constants,
+                                               dt):
+    # the scheme is well posed at every dt and for any positive rate
+    # constants; Newton must not abort
     cfg = load_config("[mesh]\npattern = %s\nn = 8\n[params]\ndt = %r\n"
-                      "t_end = %r\n[initial]\npreset = %s\n[scheme]\n"
-                      "flux = %s\n" % (pattern, dt, 5 * dt, preset, flux))
+                      "t_end = %r\n%s[initial]\npreset = %s\n"
+                      % (pattern, dt, 5 * dt, constants, preset))
     mesh = build_mesh(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "v0 unused" advisory
         u0, v0 = initial_fields(cfg, mesh)
-    rows = [r for _, r in simulate(mesh, cfg.params, u0, v0,
-                                   truncated=(flux == "truncated"))]
+    rows = [r for _, r in simulate(mesh, cfg.params, u0, v0)]
     assert len(rows) == 6
     for a, b in zip(rows, rows[1:]):
         assert abs(b.mass - a.mass) <= MASS_RTOL * a.mass

@@ -72,7 +72,7 @@ class TestFluxTerms:
         k, l = two_cell_mesh.edge_cells.T
         w = two_cell_mesh.edge_weights
         _, _, jp, jn, wk, wl, flux = ustep._flux_terms(
-            k, l, w, np.array([2.0, 5.0]), np.array([muk, mul]), True)
+            k, l, w, np.array([2.0, 5.0]), np.array([muk, mul]))
         assert jp[0] - jn[0] == jump
         assert jp[0] >= 0.0 and jn[0] >= 0.0 and jp[0] * jn[0] == 0.0
         assert (wk[0], wl[0]) == (2.0, 5.0)
@@ -84,10 +84,11 @@ class TestFluxTerms:
         k, l = two_cell_mesh.edge_cells.T
         w = two_cell_mesh.edge_weights
         u, mu = np.array([1.7, 0.4]), np.array([-0.3, 2.2])
-        flux = ustep._flux_terms(k, l, w, u, mu, True)[-1]
-        swapped = ustep._flux_terms(k, l, w, u[::-1], mu[::-1], True)[-1]
+        flux = ustep._flux_terms(k, l, w, u, mu)[-1]
+        swapped = ustep._flux_terms(k, l, w, u[::-1], mu[::-1])[-1]
         assert swapped[0] == -flux[0] != 0.0
 
+    # the mass balance transports max(u, 0); aupw_apply a signed density
     @pytest.mark.parametrize("truncated", [True, False])
     def test_vectorized_matches_scalar(self, unit_square_mesh1, rng,
                                        truncated):
@@ -96,7 +97,8 @@ class TestFluxTerms:
         mu = rng.normal(size=mesh.n_cells)
         k, l = mesh.edge_cells.T
         muk, mul, jp, jn, wk, wl, flux = ustep._flux_terms(
-            k, l, mesh.edge_weights, u, mu, truncated)
+            k, l, mesh.edge_weights, np.maximum(u, 0.0) if truncated else u,
+            mu)
         for e, (ke, le) in enumerate(mesh.edge_cells):
             jm = float(mu[ke]) - float(mu[le])
             uk, ul = float(u[ke]), float(u[le])
@@ -110,13 +112,14 @@ class TestFluxTerms:
 
     def test_truncation_leaves_the_density_untouched(self,
                                                      unit_square_mesh1, rng):
+        # the mass balance transports max(u, 0), clipped in a copy
         mesh = unit_square_mesh1
         u = rng.normal(size=mesh.n_cells)
         mu = rng.normal(size=mesh.n_cells)
         u_in, mu_in = u.copy(), mu.copy()
         k, l = mesh.edge_cells.T
-        *_, wk, wl, _ = ustep._flux_terms(k, l, mesh.edge_weights, u, mu,
-                                          True)
+        _, terms = NewtonOperator(mesh, ModelParams()).mass_balance(u, mu, u)
+        *_, wk, wl, _ = terms
         assert np.array_equal(u, u_in) and np.array_equal(mu, mu_in)
         assert np.any(u[k] < 0.0)
         assert np.array_equal(wk, np.maximum(u[k], 0.0))
@@ -204,17 +207,17 @@ class TestResidual:
         rb, _ = NewtonOperator(flipped, params).mass_balance(u, mu, u_old)
         assert np.allclose(ra, rb, rtol=1e-13, atol=1e-13)
 
-    def test_non_truncated_transports_raw_density(self, two_cell_mesh):
+    def test_negative_donor_sends_nothing(self, two_cell_mesh):
+        # the donor cell 0 holds a negative density: the truncated flux
+        # 3 * (1 * max(-0.5, 0)) is zero, so each row is its mass term
         params = ModelParams(eps=1.0, dt=1e-3, t_end=1e-3)
         u = np.array([-0.5, 2.0])
         mu = np.array([1.0, 0.0])
         u_old = np.array([0.5, 1.0])
-        r_trunc, _ = NewtonOperator(two_cell_mesh, params,
-                                    truncated=True).mass_balance(u, mu, u_old)
-        r_raw, _ = NewtonOperator(two_cell_mesh, params,
-                                  truncated=False).mass_balance(u, mu, u_old)
-        # truncated flux: 3 * (1 * 0) = 0; raw flux: 3 * (1 * -0.5)
-        assert r_raw[0] - r_trunc[0] == pytest.approx(-1.5)
+        r, terms = NewtonOperator(two_cell_mesh, params).mass_balance(
+            u, mu, u_old)
+        assert terms[-1][0] == 0.0
+        assert np.array_equal(r, 0.5 * (u - u_old) / params.dt)
 
 
 def refilled(op, u, mu, u_old):
@@ -365,6 +368,39 @@ class TestSolve:
         assert err.u is not None and err.u.shape == (2,)
         assert err.stats is not None and not err.stats.converged
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_initial_residual_raises(self, bad):
+        # one bad vertex of v_new poisons the potential of its cells; the
+        # step fails at the initial guess instead of "converging"
+        mesh = build_structured_mesh("mesh1", 4)
+        u_old = np.ones(mesh.n_cells)
+        v = np.ones(mesh.n_vertices)
+        v[7] = bad
+        with pytest.raises(NewtonDivergenceError,
+                           match="non-finite residual nan after 0") as info, \
+                np.errstate(invalid="ignore"):
+            solve_u_step(mesh, u_old, v, ModelParams(dt=1e-3, t_end=1e-3))
+        err = info.value
+        assert np.array_equal(err.u, u_old) and not np.all(np.isfinite(err.mu))
+        assert err.stats.iterations == 0 and not err.stats.converged
+        assert np.isnan(err.stats.residual)
+
+    def test_non_finite_accepted_trial_raises(self, two_cell_mesh,
+                                              monkeypatch):
+        # every halving of an infinite step is admissible (u + eps > 0)
+        # and has a NaN residual; the best of them is accepted, then fails
+        monkeypatch.setattr(NewtonOperator, "direction",
+                            lambda *args: (np.full(2, np.inf), 0, False))
+        with pytest.raises(NewtonDivergenceError,
+                           match="non-finite residual nan after 1") as info, \
+                np.errstate(invalid="ignore"):
+            solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),
+                         v_with_cell_averages(2.0, -3.0),
+                         ModelParams(dt=1e-3, t_end=1e-3))
+        err = info.value
+        assert np.all(np.isinf(err.u)) and err.mu is not None
+        assert err.stats.iterations == 1 and not err.stats.converged
+
     @pytest.mark.parametrize("dt", [1e-4, 3e-4])
     def test_collapse_step_at_large_dt(self, dt):
         # corner densities start near 1e-19 with eps = 1e-10, so a full
@@ -416,8 +452,7 @@ class TestSolve:
         assert calls[0] == stats.iterations > 0
 
     def test_nan_roundoff_scale_keeps_tol_residual(self, monkeypatch):
-        # max(tol_residual, nan) is tol_residual: a NaN scale must not stop
-        # Newton early
+        # a NaN scale bounds nothing: it must not stop Newton early
         mesh, params, u0, v0 = one_bulge_setup()
         settings = NewtonSettings(tol_residual=1e-6)
         runs = []
@@ -429,24 +464,21 @@ class TestSolve:
         assert nan.iterations == zero.iterations > 0
         assert np.array_equal(u_nan, u_zero)
 
-    @pytest.mark.parametrize("truncated", [True, False])
-    def test_stats_carry_the_energy_law_dissipation(self, monkeypatch,
-                                                    truncated):
+    def test_stats_carry_the_energy_law_dissipation(self, monkeypatch):
         mesh, params, u0, v0 = one_bulge_setup()
-        u, mu, stats = solve_u_step(mesh, u0, v0, params,
-                                    truncated=truncated)
+        u, mu, stats = solve_u_step(mesh, u0, v0, params)
         assert stats.dissipation == aupw_apply(mesh, mu, pos_part(u), mu)
         assert stats.dissipation > 0.0
         # simulate takes it from the stats, with no second flux pass
         monkeypatch.setattr(simulation, "aupw_apply", None)
-        rows = [r for _, r in simulate(mesh, params, u0, v0,
-                                       truncated=truncated)]
+        rows = [r for _, r in simulate(mesh, params, u0, v0)]
         assert len(rows) == 6
 
     def test_operator_for_another_step_rejected(self, two_cell_mesh):
         params = ModelParams(dt=1e-3, t_end=1e-3)
         for op in (NewtonOperator(two_cell_mesh, ModelParams()),
-                   NewtonOperator(two_cell_mesh, params, truncated=False)):
+                   NewtonOperator(build_structured_mesh("mesh2", 1),
+                                  params)):
             with pytest.raises(ValueError, match="operator"):
                 solve_u_step(two_cell_mesh, np.ones(2), np.zeros(4), params,
                              operator=op)
@@ -468,7 +500,7 @@ def one_bulge_setup():
     return (mesh, cfg.params) + initial_fields(cfg, mesh)
 
 
-def run_one_bulge(monkeypatch, truncated=True):
+def run_one_bulge(monkeypatch):
     """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments
     ``(operator, u, mu, r1, terms)`` of every Newton direction solved and
     the stats of every step."""
@@ -488,26 +520,23 @@ def run_one_bulge(monkeypatch, truncated=True):
 
     monkeypatch.setattr(NewtonOperator, "direction", record_direction)
     monkeypatch.setattr(simulation, "solve_u_step", record_step)
-    for _ in simulate(mesh, params, u0, v0, truncated=truncated):
+    for _ in simulate(mesh, params, u0, v0):
         pass
     monkeypatch.undo()
     return systems, stats
 
 
-def schur_oracle(mesh, u, mu, params, truncated):
+def schur_oracle(mesh, u, mu, params):
     """The Newton matrix, dense, entry by entry from each edge flux
     ``F = w (pos([mu]) t(u_K) - neg([mu]) t(u_L))`` differentiated by
-    hand, with ``t(x) = max(x, 0)`` (``x`` itself when not truncated),
-    ``dmu_K/du_K = k0/(u_K+eps)`` and the one-sided derivatives
-    ``t'(0) = 0`` and ``dF/d[mu] = 0`` at ``[mu] = 0``."""
+    hand, with ``t(x) = max(x, 0)``, ``dmu_K/du_K = k0/(u_K+eps)`` and
+    the one-sided derivatives ``t'(0) = 0`` and ``dF/d[mu] = 0`` at
+    ``[mu] = 0``."""
     jac = np.diag(mesh.areas / params.dt)
     for (k, l), w in zip(mesh.edge_cells, mesh.edge_weights):
         jm = mu[k] - mu[l]
-        if truncated:
-            tk, tl = max(u[k], 0.0), max(u[l], 0.0)
-            dtk, dtl = float(u[k] > 0.0), float(u[l] > 0.0)
-        else:
-            tk, tl, dtk, dtl = u[k], u[l], 1.0, 1.0
+        tk, tl = max(u[k], 0.0), max(u[l], 0.0)
+        dtk, dtl = float(u[k] > 0.0), float(u[l] > 0.0)
         df_djm = w * (tk if jm > 0.0 else tl if jm < 0.0 else 0.0)
         df_duk = w * max(jm, 0.0) * dtk + df_djm * params.k0 / (
             u[k] + params.eps)
@@ -522,7 +551,7 @@ def schur_oracle(mesh, u, mu, params, truncated):
 
 def lu_direction(op, u, mu, r1, terms):
     """Newton direction of the oracle matrix, solved by dense LU."""
-    schur = schur_oracle(op.mesh, u, mu, op.params, op.truncated)
+    schur = schur_oracle(op.mesh, u, mu, op.params)
     return np.linalg.solve(schur, -r1), 0, True
 
 
@@ -562,26 +591,24 @@ def max_rel_diff(got, ref):
 
 class TestNewtonLinearSolve:
     @pytest.mark.parametrize("pattern,n", [("mesh1", 4), ("mesh2", 3)])
-    @pytest.mark.parametrize("truncated", [True, False])
     def test_pattern_assembly_matches_hand_derived_oracle(self, rng, pattern,
-                                                          n, truncated):
+                                                          n):
         # the operator's matrix is filled at a state A, then refilled in
         # place at a state B whose truncation kinks and zero jumps sit in
         # other cells: no entry of A may survive
         mesh = build_structured_mesh(pattern, n)
         nc = mesh.n_cells
         params = ModelParams(eps=1e-2, dt=1e-3, t_end=1e-3)
-        op = NewtonOperator(mesh, params, truncated)
+        op = NewtonOperator(mesh, params)
         for shift in (0, 2):
             u = rng.uniform(0.0, 2.0, nc)
             u[shift::5] = 0.0                 # truncation kinks
-            if not truncated:
-                u[shift + 1::5] = -5e-3       # transported raw
+            u[shift + 1::5] = -5e-3           # truncated away
             mu = rng.normal(size=nc)
             mu[shift // 2::3] = 0.4           # zero jumps
             _, terms = op.mass_balance(u, mu, u)
             diagonal = op.refill(u, terms)
-            ref = schur_oracle(mesh, u, mu, params, truncated)
+            ref = schur_oracle(mesh, u, mu, params)
             assert max_rel_diff(op.schur.toarray(), ref) <= 1e-14
             # the Jacobi diagonal is read from the diagonal slots
             assert np.array_equal(op.schur.data[op.diagonal],
@@ -615,10 +642,8 @@ class TestNewtonLinearSolve:
         assert stats.lu_fallbacks >= 1
         assert max_rel_diff(u, u_ref) <= 1e-12
 
-    @pytest.mark.parametrize("truncated", [True, False])
-    def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch,
-                                                truncated):
-        systems, _ = run_one_bulge(monkeypatch, truncated)
+    def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch):
+        systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         for args in systems:
             system = newton_system(*args)
@@ -699,8 +724,7 @@ class TestNewtonLinearSolve:
 
     def test_operator_is_per_run(self):
         # two runs on one mesh with different dt, stepped in turn, each
-        # yield what they yield alone (the truncated and raw fluxes agree
-        # on this data, so they would not tell the runs apart)
+        # yield what they yield alone
         mesh, params, u0, v0 = one_bulge_setup()
         runs = [params, dataclasses.replace(params, dt=params.dt / 2,
                                             t_end=params.t_end / 2)]

@@ -245,6 +245,18 @@ class TestSolve:
             solve_v_step(system, v, u)
         assert len(lu.results) == 2
 
+    @pytest.mark.parametrize("field", ["v_prev", "u_prev"])
+    def test_infinite_rhs_raises(self, field):
+        # one infinite entry makes the backward-error bound infinite, which
+        # no solve meets: the step fails instead of answering all zeros
+        mesh = build_structured_mesh("mesh1", 4)
+        inputs = {"v_prev": np.ones(mesh.n_vertices),
+                  "u_prev": np.ones(mesh.n_cells)}
+        inputs[field][3] = np.inf
+        system = assemble_v_system(mesh, ModelParams(dt=1e-6, t_end=1e-6))
+        with pytest.raises(LinearSolveError, match="residual"):
+            solve_v_step(system, inputs["v_prev"], inputs["u_prev"])
+
     def test_exact_elliptic_solve_accepted_on_a_fine_mesh(self):
         # the solve's 2-norm residual is about 4e-12 of the right-hand
         # side, above a 1e-12 relative bound, at a normwise backward error

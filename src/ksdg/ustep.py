@@ -94,7 +94,11 @@ class NewtonSettings:
     dt`` plus the cancellation scale of the edge fluxes): once the
     transported density and the potential reach large magnitudes the
     residual cannot be evaluated below the round-off of its own terms,
-    and requiring less would loop forever.  Each Newton step is halved
+    and requiring less would loop forever.  The exact scale costs a pass
+    over the edges, so it is computed only when ``rnorm <= 32 * machine_eps
+    * bound``, with ``bound`` the three-maxima bound
+    ``NewtonOperator.roundoff_bound`` of the scale (the factor 2 covers its
+    rounding): above that its test cannot pass.  Each Newton step is halved
     until the residual decreases, at most ``NEWTON_MAX_HALVINGS`` times,
     and the best trial with ``u + eps > 0`` is taken.
     """
@@ -164,6 +168,9 @@ class NewtonOperator:
         nc, pattern = mesh.n_cells, mesh.cell_pattern
         self.k, self.l = mesh.edge_cells.T.copy()
         self.w = mesh.edge_weights
+        # the maxima of roundoff_bound, fixed by the mesh
+        self.area_max = float(np.max(mesh.areas))
+        self.w_max = float(np.max(self.w, initial=0.0))
         self.diagonal, self.kl, self.lk = np.split(
             pattern.slots, [nc, nc + mesh.n_interior_edges])
         # rows of the diagonal terms |K|/dt, a_KK and -a_KL: only the
@@ -195,6 +202,15 @@ class NewtonOperator:
                  + np.bincount(self.k, weights=fscale, minlength=len(u))
                  + np.bincount(self.l, weights=fscale, minlength=len(u)))
         return float(scale.max())
+
+    def roundoff_bound(self, u, u_old, mu):
+        """Upper bound of ``roundoff_scale`` from the maxima of the fields:
+        a cell has at most three interior edges, and each adds at most
+        ``w (|mu_K| + |mu_L|) max(w_K, w_L)`` to its row."""
+        umax = float(np.max(u))
+        return (self.area_max / self.params.dt
+                * (max(umax, -float(np.min(u))) + float(np.max(np.abs(u_old))))
+                + 6.0 * self.w_max * float(np.max(np.abs(mu))) * max(umax, 0.0))
 
     def refill(self, u, terms):
         """Overwrite ``schur`` with the Jacobian ``J`` of the mass balance
@@ -349,8 +365,11 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
             raise NewtonDivergenceError(
                 "non-finite residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
-        if rnorm <= settings.tol_residual or rnorm <= 16.0 * _EPS * (
-                op.roundoff_scale(u, u_old, terms)):
+        # the exact scale only runs where it can stop Newton: the factor 2
+        # covers the rounding of the bound
+        if rnorm <= settings.tol_residual or (
+                rnorm <= 32.0 * _EPS * op.roundoff_bound(u, u_old, mu)
+                and rnorm <= 16.0 * _EPS * op.roundoff_scale(u, u_old, terms)):
             break
         if stats.iterations >= settings.max_iters:
             raise NewtonDivergenceError(

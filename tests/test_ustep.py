@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -436,20 +437,51 @@ class TestSolve:
         assert calls["trial"] > stats.iterations
         assert calls["flux"] == calls["trial"]
 
-    def test_roundoff_scale_only_above_tolerance(self, monkeypatch):
+    def test_roundoff_scale_only_where_it_can_stop(self, monkeypatch):
+        # the exact pass runs only above tol_residual and at or below the
+        # bound's threshold 32 eps bound, where its own test can pass
         mesh, params, u0, v0 = one_bulge_setup()
-        calls = [0]
+        tol = NewtonSettings().tol_residual
+        bounds, checked = [], []
+        roundoff_bound = NewtonOperator.roundoff_bound
         roundoff_scale = NewtonOperator.roundoff_scale
 
-        def count_scale(*args):
-            calls[0] += 1
-            return roundoff_scale(*args)
+        def record_bound(op, u, u_old, mu):
+            bounds.append((u, mu, roundoff_bound(op, u, u_old, mu)))
+            return bounds[-1][-1]
 
-        monkeypatch.setattr(NewtonOperator, "roundoff_scale", count_scale)
-        _, _, stats = solve_u_step(mesh, u0, v0, params,
-                                   NewtonSettings(tol_residual=1e-6))
-        assert stats.residual <= 1e-6
-        assert calls[0] == stats.iterations > 0
+        def check_scale(op, u, u_old, terms):
+            bu, mu, bound = bounds[-1]
+            assert bu is u
+            rnorm = np.max(np.abs(op.mass_balance(u, mu, u_old)[0]))
+            checked.append(tol < rnorm <= 32.0 * ustep._EPS * bound)
+            return roundoff_scale(op, u, u_old, terms)
+
+        monkeypatch.setattr(NewtonOperator, "roundoff_bound", record_bound)
+        monkeypatch.setattr(NewtonOperator, "roundoff_scale", check_scale)
+        rows = [r for _, r in simulate(mesh, params, u0, v0)]
+        assert len(rows) == 6 and all(checked)
+        # each step's last iterate stops on the scale; its earlier ones
+        # are far above the threshold and skip the exact pass
+        assert len(checked) == 5
+        assert len(bounds) == sum(r.newton_iters + 1 for r in rows[1:]) > 5
+
+    def test_skipping_the_exact_pass_changes_nothing(self, monkeypatch):
+        # with the bound at +inf every check runs the exact pass, as
+        # before the bound existed; states and rows stay the same
+        mesh, params, u0, v0 = one_bulge_setup()
+        runs = []
+        for bound in (None, np.inf):
+            if bound is not None:
+                monkeypatch.setattr(NewtonOperator, "roundoff_bound",
+                                    lambda *args: bound)
+            runs.append([(state.u, state.mu, row)
+                         for state, row in simulate(mesh, params, u0, v0)])
+        default, forced = runs
+        assert len(default) == len(forced) == 6
+        for (u, mu, row), (u_ref, mu_ref, row_ref) in zip(default, forced):
+            assert np.array_equal(u, u_ref) and np.array_equal(mu, mu_ref)
+            assert row == row_ref
 
     def test_nan_roundoff_scale_keeps_tol_residual(self, monkeypatch):
         # a NaN scale bounds nothing: it must not stop Newton early
@@ -488,6 +520,37 @@ class TestSolve:
             NewtonSettings(tol_residual=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iters=0)
+
+
+class TestRoundoffBound:
+    @settings(max_examples=80, deadline=None)
+    @given(pattern=st.sampled_from(["mesh1", "mesh2"]), n=st.integers(1, 8),
+           log_dt=st.floats(-7.0, -2.0), log_mu=st.floats(-1.0, 8.0),
+           tight=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_three_maxima_bound_dominates_exact_scale(self, pattern, n,
+                                                      log_dt, log_mu, tight,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        mesh = build_structured_mesh(pattern, n + n % 2 * (pattern == "mesh1"))
+        nc = mesh.n_cells
+        dt = 10.0 ** log_dt
+        op = NewtonOperator(mesh, ModelParams(dt=dt, t_end=dt))
+        top = 10.0 ** log_mu
+        if tight:
+            # every cell at the maxima of u, u_old and |mu|
+            u, u_old = np.full(nc, 700.0), np.full(nc, 300.0)
+            mu = top * rng.choice([-1.0, 1.0], nc)
+        else:
+            u = rng.uniform(0.0, 1000.0, nc) * (rng.random(nc) < 0.8)
+            u[rng.random(nc) < 0.1] = -1e-13 * max(1.0, np.max(u))
+            u_old = rng.uniform(0.0, 1000.0, nc) * (rng.random(nc) < 0.8)
+            mu = rng.uniform(-top, top, nc)
+            mu[rng.random(nc) < 0.3] = mu[0]          # zero jumps
+        _, terms = op.mass_balance(u, mu, u_old)
+        scale = op.roundoff_scale(u, u_old, terms)
+        # the rounding of the two sums is far below the factor 2 the
+        # solver allows for it
+        assert scale <= op.roundoff_bound(u, u_old, mu) * (1.0 + 8 * ustep._EPS)
 
 
 ONE_BULGE_16 = ("[mesh]\npattern = mesh1\nn = 16\n[params]\nt_end = 5e-6\n"

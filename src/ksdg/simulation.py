@@ -110,14 +110,16 @@ class RunResult:
     state: SimState
 
 
-def _entropy(mesh, u, shift):
+def _entropy(mesh, u, shift, log_w=None):
+    # log_w, when given, is log(u + shift) computed already
     w = u + shift
     if shift == 0.0:
         # convention 0 * log(0) = 0
         return float(np.dot(mesh.areas,
                             np.where(u > 0.0, u * np.log(np.where(u > 0.0, u, 1.0)),
                                      0.0)))
-    return float(np.dot(mesh.areas, w * np.log(w)))
+    return float(np.dot(mesh.areas,
+                        w * (np.log(w) if log_w is None else log_w)))
 
 
 def _grad_square(mesh, v):
@@ -127,17 +129,18 @@ def _grad_square(mesh, v):
     return float(w @ (mesh.stiffness @ w))
 
 
-def _energies(mesh, u, v, params, pi0v):
+def _energies(mesh, u, v, params, pi0v, log_u=None):
     """``(energy, energy_eps)`` of a state, with ``pi0v`` the cell averages
-    of ``v``; the coupling and gradient terms the two functionals share
-    are evaluated once."""
+    of ``v`` and ``log_u``, when given, ``log(u + eps)``; the coupling and
+    gradient terms the two functionals share are evaluated once."""
     # exact for piecewise-constant u against piecewise-linear v
     coupling = params.k1 * float(np.dot(mesh.areas * u, pi0v))
     gradient = 0.5 * params.k1 * params.k2 / params.k4 * _grad_square(mesh, v)
     square = 0.5 * params.k1 * params.k3 / params.k4
     return (params.k0 * _entropy(mesh, u, 0.0) - coupling + gradient
             + square * p1_square_integral(mesh, v),
-            params.k0 * _entropy(mesh, u, params.eps) - coupling + gradient
+            params.k0 * _entropy(mesh, u, params.eps, log_u) - coupling
+            + gradient
             + square * p1_square_integral(mesh, v, lumped=True))
 
 
@@ -293,7 +296,8 @@ def simulate(mesh, params, u0, v0=None, newton=None):
                                    % (m, t, exc), m, t, cause=exc) from exc
 
         new_state = SimState(m, t, u_new, v_new, mu_new)
-        new_energies = _energies(mesh, u_new, v_new, params, pi0v)
+        new_energies = _energies(mesh, u_new, v_new, params, pi0v,
+                                 stats.log_u)
         law = _energy_law_lhs(mesh, state.v, v_new, params, energies[1],
                               new_energies[1], stats.dissipation)
         bound = ENERGY_LAW_RTOL * (1.0 + abs(new_energies[1]))

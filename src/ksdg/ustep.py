@@ -32,7 +32,7 @@ Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
 factorization when the Krylov solve misses its tolerance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,6 +127,8 @@ class NewtonStats:
     lu_fallbacks: int = 0
     #: ``aupw_apply(mu, pos_part(u), mu)`` of the result (energy law)
     dissipation: float = 0.0
+    #: ``log(u + eps)`` of the result, for the entropy of ``E_eps``
+    log_u: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def aupw_apply(mesh, mu, u, ubar):
@@ -352,13 +354,15 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
         raise ValueError("operator built for another mesh or params")
 
     def trial(uu):
-        """``(rnorm, u, mu, r1, terms)`` at ``uu`` with ``mu = mu(uu)``."""
-        mm = params.k0 * np.log(uu + params.eps) - params.k1 * pi0v
+        """``(rnorm, u, mu, r1, terms, log(u + eps))`` at ``uu`` with
+        ``mu = mu(uu)``."""
+        lg = np.log(uu + params.eps)
+        mm = params.k0 * lg - params.k1 * pi0v
         r1, terms = op.mass_balance(uu, mm, u_old)
-        return float(np.max(np.abs(r1))), uu, mm, r1, terms
+        return float(np.max(np.abs(r1))), uu, mm, r1, terms, lg
 
     # Initial guess: keep the density.
-    rnorm, u, mu, r1, terms = trial(u_old.copy())
+    rnorm, u, mu, r1, terms, lg = trial(u_old.copy())
     stats = NewtonStats(0, rnorm, False)
     while True:
         if not np.isfinite(rnorm):
@@ -399,7 +403,7 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
                 u=u, mu=mu, stats=stats)
         # Accept the best admissible trial even if the residual did not
         # decrease; the truncation kinks make strict descent too rigid.
-        rnorm, u, mu, r1, terms = best
+        rnorm, u, mu, r1, terms, lg = best
         best = candidate = u_try = None     # free a rejected last trial
         stats.iterations += 1
         stats.residual = rnorm
@@ -412,7 +416,9 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
             raise PositivityError(
                 "solution dips to %g, below the round-off allowance %g"
                 % (-clamp, -limit))
-        u = np.where(u < 0.0, 0.0, u)
+        clamped = u < 0.0
+        u = np.where(clamped, 0.0, u)
+        lg[clamped] = np.log(u[clamped] + params.eps)
 
     mass_old = float(np.dot(mesh.areas, u_old))
     mass_new = float(np.dot(mesh.areas, u))
@@ -426,4 +432,5 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
     stats.dissipation = float(np.dot(flux, jp - jn))
     stats.converged = True
     stats.clamp = clamp
+    stats.log_u = lg
     return u, mu, stats

@@ -506,6 +506,35 @@ class TestSolve:
         rows = [r for _, r in simulate(mesh, params, u0, v0)]
         assert len(rows) == 6
 
+    def test_stats_carry_the_entropy_log(self):
+        # the E_eps entropy reuses log(u + eps) of the accepted trial; a
+        # fresh log gives the same bits, also in a run
+        mesh, params, u0, v0 = one_bulge_setup()
+        u, _, stats = solve_u_step(mesh, u0, v0, params)
+        assert stats.clamp == 0.0
+        assert np.array_equal(stats.log_u, np.log(u + params.eps))
+        for state, row in simulate(mesh, params, u0, v0):
+            assert row.E_eps == simulation.energy_eps(mesh, state.u, state.v,
+                                                      params)
+
+    def test_entropy_log_after_a_clamp(self, monkeypatch):
+        # one Newton step lands on the converged state with its smallest
+        # cell at a clamp-sized negative; the clamp zeroes it, and the log
+        # the entropy reuses is taken at the clamped density
+        mesh, params, u0, v0 = one_bulge_setup()
+        converged, _, _ = solve_u_step(mesh, u0, v0, params)
+        target = converged.copy()
+        target[np.argmin(target)] = -0.1 * ustep.CLAMP_REL * np.max(target)
+        monkeypatch.setattr(NewtonOperator, "direction",
+                            lambda op, u, *args: (target - u, 0, False))
+        u, _, stats = solve_u_step(mesh, u0, v0, params,
+                                   NewtonSettings(tol_residual=1e-6))
+        assert stats.iterations == 1 and stats.clamp > 0.0
+        assert np.min(u) == 0.0
+        assert np.array_equal(stats.log_u, np.log(u + params.eps))
+        assert (simulation._entropy(mesh, u, params.eps, stats.log_u)
+                == simulation._entropy(mesh, u, params.eps))
+
     def test_operator_for_another_step_rejected(self, two_cell_mesh):
         params = ModelParams(dt=1e-3, t_end=1e-3)
         for op in (NewtonOperator(two_cell_mesh, ModelParams()),

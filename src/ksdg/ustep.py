@@ -30,6 +30,15 @@ fixed cell-adjacency pattern (``NewtonOperator``).  Each Newton
 iteration overwrites its values in place and solves it by a direct
 Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
 factorization when the Krylov solve misses its tolerance.
+
+The Krylov solves are inexact Newton steps (Eisenstat & Walker, SIAM J.
+Sci. Comput. 17, 1996).  The first of a time step starts from the last
+accepted update ``u^n - u^(n-1)`` and stops at ``NEWTON_FIRST_RTOL``;
+the later ones start from zero and run to ``NEWTON_LINEAR_RTOL``.  Mass
+stays exact: the columns of ``J`` sum to ``|K|/dt`` and the fluxes cancel
+in the sum of the rows, so the mass change of an iterate is ``dt`` times
+the sum of its nonlinear residual, which the stop test bounds whatever
+the accuracy of the directions.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +62,10 @@ MASS_RTOL = 1e-11
 #: Relative true residual the Krylov solve of a Newton system must reach;
 #: a solve that misses it is repeated with a sparse LU factorization.
 NEWTON_LINEAR_RTOL = 1e-12
+
+#: Relative true residual of the first Krylov solve of each step, the
+#: forcing term of an inexact Newton step (Eisenstat & Walker 1996).
+NEWTON_FIRST_RTOL = 1e-6
 
 #: Krylov iterations after which a Newton system goes to the LU solve.
 NEWTON_LINEAR_MAXITER = 1000
@@ -95,12 +108,15 @@ class NewtonSettings:
     transported density and the potential reach large magnitudes the
     residual cannot be evaluated below the round-off of its own terms,
     and requiring less would loop forever.  The exact scale costs a pass
-    over the edges, so it is computed only when ``rnorm <= 32 * machine_eps
-    * bound``, with ``bound`` the three-maxima bound
-    ``NewtonOperator.roundoff_bound`` of the scale (the factor 2 covers its
-    rounding): above that its test cannot pass.  Each Newton step is halved
-    until the residual decreases, at most ``NEWTON_MAX_HALVINGS`` times,
-    and the best trial with ``u + eps > 0`` is taken.
+    over the edges, so it is computed only when ``rnorm <= 32 *
+    machine_eps * bound``, with ``bound`` the three-maxima bound
+    ``NewtonOperator.roundoff_bound`` of the scale (the factor 2 covers
+    its rounding): above that its test cannot pass.  The test is on the
+    nonlinear residual, so the loose first Krylov solve of each step
+    (``NEWTON_FIRST_RTOL``) moves neither the tolerance nor the mass of
+    the result.  Each Newton step is halved until the residual
+    decreases, at most ``NEWTON_MAX_HALVINGS`` times, and the best trial
+    with ``u + eps > 0`` is taken.
     """
 
     tol_residual: float = 1e-10
@@ -181,6 +197,9 @@ class NewtonOperator:
         self.schur = sp.csr_matrix((np.zeros(len(pattern.indices)),
                                     pattern.indices, pattern.indptr),
                                    shape=(nc, nc))
+        #: ``u^n - u^(n-1)`` of the last accepted step, the start of the
+        #: next step's first Krylov solve
+        self.last_update = None
 
     def mass_balance(self, u, mu, u_old):
         """Mass-balance rows and the ``_flux_terms`` they come from."""
@@ -247,17 +266,19 @@ class NewtonOperator:
         data[self.lk] = -a_kk
         return diagonal
 
-    def direction(self, u, mu, r1, terms):
+    def direction(self, u, mu, r1, terms, x0=None, rtol=NEWTON_LINEAR_RTOL):
         """Newton step ``J du = -r1`` at ``u``, ``mu(u)`` by Jacobi-
-        preconditioned BiCGSTAB, or by a sparse LU factorization when the
-        Krylov solve misses ``NEWTON_LINEAR_RTOL`` on the true residual.
+        preconditioned BiCGSTAB from ``x0``, or by a sparse LU
+        factorization when the Krylov solve misses ``rtol`` on the true
+        residual.
 
         Returns ``(du, krylov_iterations, lu_fallback)``.
         """
         diagonal, rhs = self.refill(u, terms), -r1
         du, iterations = None, 0
         if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
-            du, iterations = _krylov_solve(self.schur, rhs, diagonal)
+            du, iterations = _krylov_solve(self.schur, rhs, diagonal, x0,
+                                           rtol)
         fallback = du is None
         if fallback:
             try:
@@ -269,27 +290,32 @@ class NewtonOperator:
         return du, iterations, fallback
 
 
-def _krylov_solve(schur, rhs, diagonal):
-    """Jacobi-preconditioned BiCGSTAB from zero; ``(x, iterations)``, with
-    ``x`` None unless the true residual meets ``NEWTON_LINEAR_RTOL``.  The
-    loop is ``scipy.sparse.linalg.bicgstab`` operation for operation,
-    without its dispatch, so its iterates are scipy's bit for bit."""
+def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
+    """Jacobi-preconditioned BiCGSTAB from ``x0`` (zero when None);
+    ``(x, iterations)``, with ``x`` None unless the true residual meets
+    ``rtol * |rhs|``.  The loop is ``scipy.sparse.linalg.bicgstab(x0=x0,
+    rtol=rtol, atol=0)`` operation for operation, without its dispatch, so
+    its iterates are scipy's bit for bit: the shadow residual is the
+    initial residual ``rhs - schur @ x0``, or ``rhs`` when ``x0`` is None
+    or all zero."""
     bnorm = np.sqrt(np.dot(rhs, rhs))       # np.linalg.norm of a 1-D array
     if bnorm == 0.0:
         return rhs, 0
-    atol, inverse = NEWTON_LINEAR_RTOL * bnorm, 1.0 / diagonal
-    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs   # rhs: rtilde, 1st p
+    atol, inverse = rtol * bnorm, 1.0 / diagonal
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    r = rhs - schur @ x if x.any() else rhs.copy()
+    rtilde = p = r.copy()                   # rtilde is also the first p
     for it in range(NEWTON_LINEAR_MAXITER):
         if np.sqrt(np.dot(r, r)) < atol:
             break
-        rho = np.dot(rhs, r)
+        rho = np.dot(rtilde, r)
         if abs(rho) < _EPS ** 2 or it > 0 and abs(omega) < _EPS ** 2:
             return None, it                 # rho or omega breakdown
         if it > 0:
             p = (p - omega * v) * ((rho / rho_prev) * (alpha / omega)) + r
         phat = inverse * p
         v = schur @ phat
-        rv = np.dot(rhs, v)
+        rv = np.dot(rtilde, v)
         if rv == 0:
             return None, it + 1
         alpha = rho / rv
@@ -321,7 +347,9 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
     settings : NewtonSettings, optional
     operator : NewtonOperator, optional
         Built for ``mesh`` and ``params``, and reused across the steps of
-        a run; a temporary one is built when omitted.
+        a run; a temporary one is built when omitted.  It keeps the
+        accepted update ``u_new - u_old``, the start of the next step's
+        first Krylov solve.
     pi0v : (nc,) array, optional
         ``project_p1_to_p0(mesh, v_new)``, when the caller has it already.
 
@@ -379,8 +407,13 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
+        # the first solve of a step starts from the last step's update
+        # and stops at the loose forcing term; Newton corrects it
+        first = stats.iterations == 0
         try:
-            du, krylov, fallback = op.direction(u, mu, r1, terms)
+            du, krylov, fallback = op.direction(
+                u, mu, r1, terms, op.last_update if first else None,
+                NEWTON_FIRST_RTOL if first else NEWTON_LINEAR_RTOL)
         except NewtonDivergenceError as exc:    # singular LU factorization
             exc.stats = stats
             raise
@@ -433,4 +466,5 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
     stats.converged = True
     stats.clamp = clamp
     stats.log_u = lg
+    op.last_update = u - u_old
     return u, mu, stats

@@ -594,16 +594,16 @@ def one_bulge_setup():
 
 def run_one_bulge(monkeypatch):
     """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments
-    ``(operator, u, mu, r1, terms)`` of every Newton direction solved and
-    the stats of every step."""
+    ``(operator, u, mu, r1, terms, x0, rtol)`` of every Newton direction
+    solved and the stats of every step."""
     mesh, params, u0, v0 = one_bulge_setup()
     systems, stats = [], []
     direction = NewtonOperator.direction
     step = simulation.solve_u_step
 
-    def record_direction(*args):
-        systems.append(args)
-        return direction(*args)
+    def record_direction(op, u, mu, r1, terms, x0, rtol):
+        systems.append((op, u, mu, r1, terms, x0, rtol))
+        return direction(op, u, mu, r1, terms, x0, rtol)
 
     def record_step(*args, **kwargs):
         out = step(*args, **kwargs)
@@ -641,13 +641,15 @@ def schur_oracle(mesh, u, mu, params):
     return jac
 
 
-def lu_direction(op, u, mu, r1, terms):
+def lu_direction(op, u, mu, r1, terms, x0=None,
+                 rtol=ustep.NEWTON_LINEAR_RTOL):
     """Newton direction of the oracle matrix, solved by dense LU."""
     schur = schur_oracle(op.mesh, u, mu, op.params)
     return np.linalg.solve(schur, -r1), 0, True
 
 
-def scipy_krylov(schur, rhs, diagonal):
+def scipy_krylov(schur, rhs, diagonal, x0=None,
+                 rtol=ustep.NEWTON_LINEAR_RTOL):
     """``_krylov_solve`` through ``scipy.sparse.linalg.bicgstab``, the
     reference the direct loop must repeat bit for bit."""
     inverse = 1.0 / diagonal
@@ -659,20 +661,20 @@ def scipy_krylov(schur, rhs, diagonal):
 
     jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
                                  dtype=float)
-    x, info = spla.bicgstab(schur, rhs, rtol=ustep.NEWTON_LINEAR_RTOL,
-                            atol=0.0, maxiter=ustep.NEWTON_LINEAR_MAXITER,
-                            M=jacobi)
+    x, info = spla.bicgstab(schur, rhs, x0=x0, rtol=rtol, atol=0.0,
+                            maxiter=ustep.NEWTON_LINEAR_MAXITER, M=jacobi)
     # each iteration applies the preconditioner twice; the last may stop
     # after its first half
     iterations = (applications[0] + 1) // 2
     if info != 0 or not (np.linalg.norm(rhs - schur @ x)
-                         <= ustep.NEWTON_LINEAR_RTOL * np.linalg.norm(rhs)):
+                         <= rtol * np.linalg.norm(rhs)):
         return None, iterations
     return x, iterations
 
 
-def newton_system(op, u, mu, r1, terms):
-    """Matrix, right-hand side and diagonal of a Newton direction."""
+def newton_system(op, u, mu, r1, terms, *start):
+    """Matrix, right-hand side and diagonal of a Newton direction; the
+    start ``(x0, rtol)`` of a recorded direction is dropped."""
     diagonal = op.refill(u, terms)
     return op.schur, -r1, diagonal
 
@@ -708,9 +710,11 @@ class TestNewtonLinearSolve:
             assert np.array_equal(diagonal, op.schur.diagonal())
 
     def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
+        # at the default start and tolerance: from zero to 1e-12
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         for args in systems:
+            args = args[:5]
             du, iterations, fallback = NewtonOperator.direction(*args)
             ref_du, _, _ = lu_direction(*args)
             assert iterations > 0 and not fallback
@@ -735,14 +739,52 @@ class TestNewtonLinearSolve:
         assert max_rel_diff(u, u_ref) <= 1e-12
 
     def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch):
+        # from the recorded start, from zero, from an all-zero x0 and from
+        # another nonzero x0, at both tolerances; a full step's update as
+        # the start of a later Newton system can miss 1e-12 of its small
+        # rhs, and then scipy misses it in the same iteration
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
+        warm = [args[5] for args in systems if args[5] is not None]
+        assert warm
         for args in systems:
             system = newton_system(*args)
-            x, iterations = ustep._krylov_solve(*system)
-            ref, ref_iterations = scipy_krylov(*system)
-            assert x is not None and np.array_equal(x, ref)
-            assert iterations == ref_iterations > 0
+            zero = np.zeros_like(system[1])
+            for start in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL),
+                          (zero, ustep.NEWTON_FIRST_RTOL),
+                          (zero, ustep.NEWTON_LINEAR_RTOL),
+                          (warm[0], ustep.NEWTON_FIRST_RTOL),
+                          (warm[-1], ustep.NEWTON_LINEAR_RTOL)):
+                x, iterations = ustep._krylov_solve(*system, *start)
+                ref, ref_iterations = scipy_krylov(*system, *start)
+                assert (x is None) == (ref is None)
+                assert x is None or np.array_equal(x, ref)
+                assert iterations == ref_iterations > 0
+                assert start[0] is None or start[0] is not x
+            # the solver's own start always converges
+            assert ustep._krylov_solve(*system, *args[5:])[0] is not None
+
+    def test_first_solve_of_a_step_is_warm_and_loose(self, monkeypatch):
+        # the first solve of step n starts from u^(n-1) - u^(n-2), the
+        # last accepted update, at NEWTON_FIRST_RTOL; a fresh operator has
+        # none, and every later solve starts from zero at 1e-12
+        systems, stats = run_one_bulge(monkeypatch)
+        mesh, params, u0, v0 = one_bulge_setup()
+        us = [state.u for state, _ in simulate(mesh, params, u0, v0)]
+        start = 0
+        for n, s in enumerate(stats, start=1):
+            step = systems[start:start + s.iterations]
+            start += s.iterations
+            (*_, x0, rtol), later = step[0], step[1:]
+            assert rtol == ustep.NEWTON_FIRST_RTOL
+            if n == 1:
+                assert x0 is None
+            else:
+                assert np.array_equal(x0, us[n - 1] - us[n - 2])
+            assert later and all(
+                args[5] is None and args[6] == ustep.NEWTON_LINEAR_RTOL
+                for args in later)
+        assert start == len(systems)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-20])
     def test_krylov_loop_tiny_rhs(self, monkeypatch, scale):
@@ -797,7 +839,7 @@ class TestNewtonLinearSolve:
         _, stats = run_one_bulge(monkeypatch)
         assert (sum(s.iterations for s in stats),
                 sum(s.linear_iterations for s in stats),
-                sum(s.lu_fallbacks for s in stats)) == (10, 50, 0)
+                sum(s.lu_fallbacks for s in stats)) == (10, 36, 0)
 
     def test_one_sparse_matrix_per_run(self, monkeypatch):
         # the Newton matrix is refilled in place: one construction for

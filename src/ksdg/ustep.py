@@ -419,6 +419,8 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
             raise
         stats.linear_iterations += krylov
         stats.lu_fallbacks += fallback
+        # the line search reads only u and mu of the iterate: free the rest
+        r1 = terms = lg = None
 
         best = None
         for halvings in range(NEWTON_MAX_HALVINGS + 1):

@@ -42,8 +42,7 @@ def five_steps(preset, pattern, n, dt):
         warnings.simplefilter("ignore")  # "v0 unused" advisory
         u0, v0 = initial_fields(cfg, mesh)
     try:
-        return [row for _, row in simulate(
-            mesh, cfg.params, u0, v0, newton=cfg.newton)]
+        return [row for _, row in simulate(mesh, cfg.params, u0, v0)]
     except StepFailureError as exc:
         return str(exc)
 

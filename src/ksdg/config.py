@@ -29,7 +29,6 @@ import numpy as np
 
 from .fields import ModelParams
 from .mesh import MeshError, build_structured_mesh, square_tiling
-from .ustep import NewtonSettings
 
 PRESET_NAMES = ("one_bulge", "three_bulges", "multi_peak")
 
@@ -191,7 +190,6 @@ class RunConfig:
     csv_path: str = None
     vtk_dir: str = None
     snapshot_times: tuple = ()
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
         if self.pattern not in ("mesh1", "mesh2"):
@@ -314,8 +312,6 @@ _SCHEMA = (
     ("output", "csv", None, "csv_path", str, str),
     ("output", "vtk_dir", None, "vtk_dir", str, str),
     ("output", "snapshot_times", None, "snapshot_times", _floats, _gs),
-    ("newton", "tol_residual", "newton", "tol_residual", _float, _g),
-    ("newton", "max_iters", "newton", "max_iters", _int, _d),
 )
 
 _ROWS = {(row[0], row[1]): row for row in _SCHEMA}
@@ -375,7 +371,7 @@ def _build(cls, base, given):
 
 def load_config(text):
     """Parse configuration text into a validated ``RunConfig``."""
-    given = {None: [], "params": [], "newton": []}
+    given = {None: [], "params": []}
     for (_, key, owner, attr, parse, _), value, line in _scan(text):
         try:
             given[owner].append((attr, parse(value), line))
@@ -390,11 +386,10 @@ def load_config(text):
         if key in defaults:
             base[owner][attr] = defaults[key]
     params = _build(ModelParams, base["params"], given["params"])
-    newton = _build(NewtonSettings, base["newton"], given["newton"])
     # preset snapshot times adapt to an overridden horizon
     base[None]["snapshot_times"] = tuple(
         t for t in base[None].get("snapshot_times", ()) if t <= params.t_end)
-    return _build(RunConfig, dict(base[None], params=params, newton=newton),
+    return _build(RunConfig, dict(base[None], params=params),
                   given[None])
 
 

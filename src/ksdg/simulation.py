@@ -219,7 +219,7 @@ def _make_row(mesh, state, energies, law, iters, residual, u_clamp, v_clamp):
     )
 
 
-def simulate(mesh, params, u0, v0=None, newton=None):
+def simulate(mesh, params, u0, v0=None):
     """Generate ``(state, diagnostics_row)`` pairs for a whole run.
 
     The first yield is the initial state (step 0); each later yield is
@@ -289,8 +289,7 @@ def simulate(mesh, params, u0, v0=None, newton=None):
         pi0v = project_p1_to_p0(mesh, v_new)
         try:
             u_new, mu_new, stats = solve_u_step(
-                mesh, state.u, v_new, params, settings=newton,
-                operator=operator, pi0v=pi0v)
+                mesh, state.u, v_new, params, operator=operator, pi0v=pi0v)
         except UStepError as exc:
             raise StepFailureError("density step failed at step %d (t=%g): %s"
                                    % (m, t, exc), m, t, cause=exc) from exc
@@ -347,8 +346,7 @@ def run(cfg):
     mesh_text = None    # formatted by the first snapshot, then reused
     with _output.SnapshotWriter() as writer:
         try:
-            for state, row in simulate(mesh, cfg.params, u0, v0,
-                                       newton=cfg.newton):
+            for state, row in simulate(mesh, cfg.params, u0, v0):
                 rows.append(row)
                 seen = next_snap
                 while (next_snap < len(snap_times)

@@ -39,6 +39,23 @@ stays exact: the columns of ``J`` sum to ``|K|/dt`` and the fluxes cancel
 in the sum of the rows, so the mass change of an iterate is ``dt`` times
 the sum of its nonlinear residual, which the stop test bounds whatever
 the accuracy of the directions.
+
+Newton stops when the max norm ``rnorm`` of the mass-balance rows is at
+round-off, ``rnorm <= 16 * machine_eps * scale``, with ``scale`` the
+largest round-off magnitude of the assembled rows (the mass term ``|K|
+(|u| + |uold|) / dt`` plus the cancellation scale of the edge fluxes,
+``NewtonOperator.roundoff_scale``): the residual cannot be evaluated
+below the round-off of its own terms.  The test is relative to the
+step's own rows, so it holds at any scale of the data; an absolute
+tolerance stops a step on small data before its mass balance is met.
+The exact scale costs a pass over the edges, so it is computed only when
+``rnorm <= 32 * machine_eps * bound``, with ``bound`` the three-maxima
+bound ``NewtonOperator.roundoff_bound`` of the scale (the factor 2
+covers its rounding): above that its test cannot pass.  Each Newton
+step is halved until the residual decreases, at most
+``NEWTON_MAX_HALVINGS`` times, and the best trial with ``u + eps > 0``
+is taken; a step still above round-off after ``NEWTON_MAX_ITERS``
+iterations fails.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +87,9 @@ NEWTON_FIRST_RTOL = 1e-6
 #: Krylov iterations after which a Newton system goes to the LU solve.
 NEWTON_LINEAR_MAXITER = 1000
 
+#: Newton iterations after which a step that is not at round-off fails.
+NEWTON_MAX_ITERS = 30
+
 #: Step halvings the line search tries before it takes the best trial.
 NEWTON_MAX_HALVINGS = 10
 
@@ -94,39 +114,6 @@ class PositivityError(UStepError):
 
 class MassDriftError(UStepError):
     """Converged solution lost or gained mass beyond round-off."""
-
-
-@dataclass
-class NewtonSettings:
-    """Newton iteration controls.
-
-    ``tol_residual`` is an absolute tolerance on the max norm of the mass
-    balance.  Convergence is declared at ``max(tol_residual, 16 *
-    machine_eps * scale)`` where ``scale`` is the largest round-off
-    magnitude of the assembled rows (the mass term ``|K| (|u| + |uold|) /
-    dt`` plus the cancellation scale of the edge fluxes): once the
-    transported density and the potential reach large magnitudes the
-    residual cannot be evaluated below the round-off of its own terms,
-    and requiring less would loop forever.  The exact scale costs a pass
-    over the edges, so it is computed only when ``rnorm <= 32 *
-    machine_eps * bound``, with ``bound`` the three-maxima bound
-    ``NewtonOperator.roundoff_bound`` of the scale (the factor 2 covers
-    its rounding): above that its test cannot pass.  The test is on the
-    nonlinear residual, so the loose first Krylov solve of each step
-    (``NEWTON_FIRST_RTOL``) moves neither the tolerance nor the mass of
-    the result.  Each Newton step is halved until the residual
-    decreases, at most ``NEWTON_MAX_HALVINGS`` times, and the best trial
-    with ``u + eps > 0`` is taken.
-    """
-
-    tol_residual: float = 1e-10
-    max_iters: int = 30
-
-    def __post_init__(self):
-        if not 0.0 < self.tol_residual < np.inf:
-            raise ValueError("tol_residual must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -335,8 +322,7 @@ def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
     return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
 
 
-def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
-                 pi0v=None):
+def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
     """Advance the cell density by one time step with Newton's method.
 
     Parameters
@@ -344,7 +330,6 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
     u_old : (nc,) array, nonnegative
     v_new : (nv,) array
         Chemoattractant field already advanced to the new time level.
-    settings : NewtonSettings, optional
     operator : NewtonOperator, optional
         Built for ``mesh`` and ``params``, and reused across the steps of
         a run; a temporary one is built when omitted.  It keeps the
@@ -368,8 +353,6 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
         accepted trial.
     PositivityError, MassDriftError
     """
-    if settings is None:
-        settings = NewtonSettings()
     u_old = _check_cellfield(mesh, u_old, "u_old")
     if np.min(u_old) < 0.0:
         raise ValueError("u_old must be nonnegative, min is %g"
@@ -399,11 +382,10 @@ def solve_u_step(mesh, u_old, v_new, params, settings=None, operator=None,
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
         # the exact scale only runs where it can stop Newton: the factor 2
         # covers the rounding of the bound
-        if rnorm <= settings.tol_residual or (
-                rnorm <= 32.0 * _EPS * op.roundoff_bound(u, u_old, mu)
+        if (rnorm <= 32.0 * _EPS * op.roundoff_bound(u, u_old, mu)
                 and rnorm <= 16.0 * _EPS * op.roundoff_scale(u, u_old, terms)):
             break
-        if stats.iterations >= settings.max_iters:
+        if stats.iterations >= NEWTON_MAX_ITERS:
             raise NewtonDivergenceError(
                 "Newton stalled at residual %g after %d iterations"
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)

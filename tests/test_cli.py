@@ -3,7 +3,7 @@ import os
 import pytest
 
 import ksdg
-from ksdg import read_diagnostics_csv
+from ksdg import read_diagnostics_csv, ustep
 from ksdg.cli import main
 
 
@@ -84,7 +84,10 @@ def test_run_end_to_end_writes_outputs(tmp_path, capsys):
     assert snaps[0] == "snap_000000.vtk"
 
 
-def test_run_failure_exits_1_and_keeps_partial_csv(tmp_path, capsys):
+def test_run_failure_exits_1_and_keeps_partial_csv(tmp_path, capsys,
+                                                   monkeypatch):
+    # one Newton iteration does not bring step 1 to round-off
+    monkeypatch.setattr(ustep, "NEWTON_MAX_ITERS", 1)
     cfg = tmp_path / "run.cfg"
     csv_path = tmp_path / "diag.csv"
     cfg.write_text(
@@ -95,9 +98,6 @@ def test_run_failure_exits_1_and_keeps_partial_csv(tmp_path, capsys):
         "preset = one_bulge\n"
         "[params]\n"
         "t_end = 1e-5\n"
-        "[newton]\n"
-        "max_iters = 1\n"
-        "tol_residual = 1e-300\n"
         "[output]\n"
         "csv = %s\n" % csv_path)
     assert main(["run", str(cfg)]) == 1

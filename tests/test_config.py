@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ksdg import (ConfigError, PRESET_NAMES, ModelParams, NewtonSettings,
-                  RunConfig, build_structured_mesh, dumps_config,
-                  evaluate_terms, initial_fields, integrate_cellfield,
-                  load_config, preset_initial_conditions)
+from ksdg import (ConfigError, PRESET_NAMES, ModelParams, RunConfig,
+                  build_structured_mesh, dumps_config, evaluate_terms,
+                  initial_fields, integrate_cellfield, load_config,
+                  preset_initial_conditions)
 from ksdg.config import (CosCosTerm, GaussianTerm, SinSinTerm, format_terms,
                          parse_terms)
 
@@ -94,16 +94,17 @@ class TestParsing:
         cfg = load_config("# header\n\n[mesh]\nn = 8  # squares\n")
         assert cfg.n == 8
 
-    def test_newton_settings_parsed(self):
-        cfg = load_config("[newton]\ntol_residual = 1e-8\nmax_iters = 12\n")
-        assert cfg.newton.tol_residual == 1e-8
-        assert cfg.newton.max_iters == 12
-
-    @pytest.mark.parametrize("key", ["damping = none", "max_halvings = 10"])
-    def test_removed_newton_keys_rejected(self, key):
-        with pytest.raises(ConfigError, match="unknown key") as info:
-            load_config("[mesh]\nn = 8\n[newton]\n%s\n" % key)
-        assert info.value.line == 4
+    @pytest.mark.parametrize("text,line", [
+        ("[newton]\ntol_residual = 1e-10\n", 1),
+        ("[mesh]\nn = 8\n[newton]\nmax_iters = 30\n", 3),
+        ("[initial]\npreset = one_bulge\n\n[newton]\ndamping = none\n", 4),
+    ])
+    def test_newton_section_rejected_at_its_line(self, text, line):
+        # Newton stops at the round-off of its rows and needs no settings
+        with pytest.raises(ConfigError,
+                           match=r"^line %d: unknown section \[newton\]$"
+                           % line):
+            load_config(text)
 
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
@@ -114,16 +115,14 @@ class TestParsing:
     @pytest.mark.parametrize("text,line", [
         ("[params]\nk0 = -1\n", 2),
         ("[params]\ntau = 1\nk0 = -1\n", 3),
-        ("[newton]\nmax_iters = 0\ntol_residual = 1e-8\n", 2),
         ("[mesh]\npattern = hexes\n", 2),
         ("[mesh]\nn = 0\n", 2),
         ("[params]\nt_end = 1e-5\n[output]\nsnapshot_times = 0 1e-3\n", 4),
-        ("[initial]\npreset = one_bulge\n[newton]\nmax_iters = 0\n", 4),
+        ("[initial]\npreset = one_bulge\n[params]\nk0 = -1\n", 4),
         ("[params]\nt_end = inf\n", 2),
         ("[params]\nk3 = inf\n", 2),
         ("[params]\neps = inf\n", 2),
         ("[params]\ndt = inf\n", 2),
-        ("[newton]\ntol_residual = inf\n", 2),
         ("[params]\nt_end = 1e-3\ndt = 1\n", 3),
         ("[params]\ndt = 1e-3\nt_end = 1e-2\nk0 = -1\n", 4),
         ("[mesh]\nn = 3\n", 2),
@@ -184,9 +183,6 @@ def run_configs(draw):
         k4=_positive, tau=st.sampled_from([0, 1]), eps=_positive,
         dt=st.just(dt),
         t_end=st.integers(min_value=1, max_value=10**6).map(lambda k: k * dt)))
-    newton = draw(st.builds(
-        NewtonSettings, tol_residual=_positive,
-        max_iters=st.integers(min_value=1)))
     times = st.floats(min_value=0.0, max_value=params.t_end)
     # whole multiples of a square side with 21 significant bits are exact,
     # so the rectangle is tiled exactly; mesh1 tiles in 2x2 blocks
@@ -208,8 +204,7 @@ def run_configs(draw):
         v0_terms=draw(_terms),
         csv_path=draw(_path),
         vtk_dir=draw(_path),
-        snapshot_times=tuple(draw(st.lists(times, max_size=4))),
-        newton=newton)
+        snapshot_times=tuple(draw(st.lists(times, max_size=4))))
 
 
 class TestRoundTrip:
@@ -220,8 +215,7 @@ class TestRoundTrip:
         ("[mesh]\npattern = mesh2\nn = 12\ndomain = 0 2 0 1\n"
          "[params]\nk0 = 0.5\ntau = 0\ndt = 1e-4\nt_end = 2e-3\n"
          "[initial]\nu0 = gaussian(5, 20, 0.5, 0.5) + coscos(1, 2)\n"
-         "[output]\ncsv = out.csv\nsnapshot_times = 0 1e-3\n"
-         "[newton]\nmax_iters = 11\n"),
+         "[output]\ncsv = out.csv\nsnapshot_times = 0 1e-3\n"),
     ])
     def test_serialize_parse_identity(self, text):
         cfg = load_config(text)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ksdg import (ModelParams, NewtonDivergenceError, NewtonSettings,
-                  aupw_apply, build_structured_mesh, integrate_cellfield,
+from ksdg import (ModelParams, NewtonDivergenceError, aupw_apply, build_structured_mesh, integrate_cellfield,
                   pos_part, simulate, solve_u_step)
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
@@ -358,13 +357,13 @@ class TestSolve:
             solve_u_step(two_cell_mesh, np.array([-0.1, 1.0]), np.zeros(4),
                          ModelParams())
 
-    def test_divergence_carries_last_iterate(self, two_cell_mesh):
+    def test_divergence_carries_last_iterate(self, two_cell_mesh,
+                                             monkeypatch):
         params = ModelParams(dt=1e-3, t_end=1e-3)
-        settings = NewtonSettings(max_iters=1, tol_residual=1e-14)
-        with pytest.raises(NewtonDivergenceError) as info:
+        monkeypatch.setattr(ustep, "NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NewtonDivergenceError, match="stalled") as info:
             solve_u_step(two_cell_mesh, np.array([4.0, 0.1]),
-                         v_with_cell_averages(2.0, -3.0), params,
-                         settings=settings)
+                         v_with_cell_averages(2.0, -3.0), params)
         err = info.value
         assert err.u is not None and err.u.shape == (2,)
         assert err.stats is not None and not err.stats.converged
@@ -413,7 +412,7 @@ class TestSolve:
         u0, v0 = initial_fields(cfg, mesh)
         rows = [r for _, r in simulate(mesh, cfg.params, u0, v0)]
         assert len(rows) == 2
-        assert 0 < rows[1].newton_iters <= cfg.newton.max_iters
+        assert 0 < rows[1].newton_iters <= ustep.NEWTON_MAX_ITERS
         assert rows[1].min_u >= 0.0
 
     def test_each_trial_evaluates_the_flux_once(self, monkeypatch):
@@ -438,10 +437,9 @@ class TestSolve:
         assert calls["flux"] == calls["trial"]
 
     def test_roundoff_scale_only_where_it_can_stop(self, monkeypatch):
-        # the exact pass runs only above tol_residual and at or below the
-        # bound's threshold 32 eps bound, where its own test can pass
+        # the exact pass runs only at or below the bound's threshold
+        # 32 eps bound, where its own test can pass
         mesh, params, u0, v0 = one_bulge_setup()
-        tol = NewtonSettings().tol_residual
         bounds, checked = [], []
         roundoff_bound = NewtonOperator.roundoff_bound
         roundoff_scale = NewtonOperator.roundoff_scale
@@ -454,7 +452,7 @@ class TestSolve:
             bu, mu, bound = bounds[-1]
             assert bu is u
             rnorm = np.max(np.abs(op.mass_balance(u, mu, u_old)[0]))
-            checked.append(tol < rnorm <= 32.0 * ustep._EPS * bound)
+            checked.append(rnorm <= 32.0 * ustep._EPS * bound)
             return roundoff_scale(op, u, u_old, terms)
 
         monkeypatch.setattr(NewtonOperator, "roundoff_bound", record_bound)
@@ -483,18 +481,17 @@ class TestSolve:
             assert np.array_equal(u, u_ref) and np.array_equal(mu, mu_ref)
             assert row == row_ref
 
-    def test_nan_roundoff_scale_keeps_tol_residual(self, monkeypatch):
-        # a NaN scale bounds nothing: it must not stop Newton early
+    def test_nan_roundoff_scale_never_stops_newton(self, monkeypatch):
+        # a NaN scale bounds nothing: the step runs out of iterations
+        # instead of passing off its iterate as converged
         mesh, params, u0, v0 = one_bulge_setup()
-        settings = NewtonSettings(tol_residual=1e-6)
-        runs = []
-        for scale in (0.0, np.nan):
-            monkeypatch.setattr(NewtonOperator, "roundoff_scale",
-                                lambda *args, scale=scale: scale)
-            runs.append(solve_u_step(mesh, u0, v0, params, settings))
-        (u_zero, _, zero), (u_nan, _, nan) = runs
-        assert nan.iterations == zero.iterations > 0
-        assert np.array_equal(u_nan, u_zero)
+        monkeypatch.setattr(NewtonOperator, "roundoff_scale",
+                            lambda *args: np.nan)
+        with pytest.raises(NewtonDivergenceError, match="stalled") as info:
+            solve_u_step(mesh, u0, v0, params)
+        stats = info.value.stats
+        assert stats.iterations == ustep.NEWTON_MAX_ITERS
+        assert not stats.converged
 
     def test_stats_carry_the_energy_law_dissipation(self, monkeypatch):
         mesh, params, u0, v0 = one_bulge_setup()
@@ -524,11 +521,11 @@ class TestSolve:
         mesh, params, u0, v0 = one_bulge_setup()
         converged, _, _ = solve_u_step(mesh, u0, v0, params)
         target = converged.copy()
-        target[np.argmin(target)] = -0.1 * ustep.CLAMP_REL * np.max(target)
+        # below the round-off floor of the rows, so the target converges
+        target[np.argmin(target)] = -0.01 * ustep.CLAMP_REL * np.max(target)
         monkeypatch.setattr(NewtonOperator, "direction",
                             lambda op, u, *args: (target - u, 0, False))
-        u, _, stats = solve_u_step(mesh, u0, v0, params,
-                                   NewtonSettings(tol_residual=1e-6))
+        u, _, stats = solve_u_step(mesh, u0, v0, params)
         assert stats.iterations == 1 and stats.clamp > 0.0
         assert np.min(u) == 0.0
         assert np.array_equal(stats.log_u, np.log(u + params.eps))
@@ -543,12 +540,6 @@ class TestSolve:
             with pytest.raises(ValueError, match="operator"):
                 solve_u_step(two_cell_mesh, np.ones(2), np.zeros(4), params,
                              operator=op)
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            NewtonSettings(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(max_iters=0)
 
 
 class TestRoundoffBound:

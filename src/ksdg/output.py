@@ -182,7 +182,7 @@ class SnapshotWriter:
         self._pending = path
         try:
             self._conn.send((u, v, path, title))
-        except BrokenPipeError:
+        except ConnectionError:
             self._wait()            # the child is gone: EOF names the file
 
     def _wait(self):
@@ -190,7 +190,8 @@ class SnapshotWriter:
         if path is not None:
             try:
                 error = self._conn.recv()
-            except EOFError:
+            except (EOFError, ConnectionError):
+                # a child that died with a job unread resets the connection
                 error = "the writer process exited"
             if error:
                 raise OSError("snapshot %s not written: %s" % (path, error))
@@ -201,7 +202,7 @@ class SnapshotWriter:
             try:
                 self._wait()
             finally:
-                with contextlib.suppress(BrokenPipeError):
+                with contextlib.suppress(ConnectionError):
                     self._conn.send(None)
                 self._conn.close()
                 self._process.join()

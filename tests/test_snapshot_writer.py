@@ -169,6 +169,40 @@ class TestFailures:
             assert multiprocessing.active_children() == []
         """)
 
+    def test_writer_killed_with_an_unread_file_raises_oserror(self,
+                                                              tmp_path):
+        # the child stops before it reads the step-0 file and is killed at
+        # step 1: its socket closes with the file unread, and the run's
+        # next hand-off sees a reset connection rather than EOF
+        run_script(tmp_path, """
+            serve = output._serve
+
+            def stopped_serve(*args):
+                os.kill(os.getpid(), signal.SIGSTOP)
+                serve(*args)
+
+            def kill_writer():
+                child, = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+                child.join(60)
+                assert not child.is_alive()
+
+            assert "fork" in multiprocessing.get_all_start_methods()
+            output._serve = stopped_serve
+            fail_step(1, kill_writer)
+            out = os.path.join(tmp, "run")
+            try:
+                run_config(out)
+            except OSError as exc:
+                assert type(exc) is OSError, repr(exc)
+                assert "snap_000000.vtk" in str(exc), exc
+                assert "writer process exited" in str(exc), exc
+            else:
+                raise AssertionError("no OSError")
+            assert csv_steps(out) == [0, 1], csv_steps(out)
+            assert multiprocessing.active_children() == []
+        """)
+
 
 class TestLifecycle:
     @pytest.fixture

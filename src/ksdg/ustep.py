@@ -35,11 +35,11 @@ The Krylov solves are inexact Newton steps (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17, 1996).  The first of a time step starts from the last
 accepted update ``u^n - u^(n-1)`` and stops at ``NEWTON_FIRST_RTOL``;
 the later ones, and all of a step with no accepted update before it,
-start from zero and run to ``NEWTON_LINEAR_RTOL``.  Mass
-stays exact: the columns of ``J`` sum to ``|K|/dt`` and the fluxes cancel
-in the sum of the rows, so the mass change of an iterate is ``dt`` times
-the sum of its nonlinear residual, which the stop test bounds whatever
-the accuracy of the directions.
+start from zero and run to ``NEWTON_LINEAR_RTOL``.  Mass stays exact:
+the columns of ``J`` sum to ``|K|/dt`` and the fluxes cancel in the sum
+of the rows, so the mass change of an iterate is ``dt`` times the sum of
+its nonlinear residual, which the stop test bounds whatever the accuracy
+of the directions.
 
 Newton stops when the max norm ``rnorm`` of the mass-balance rows is at
 round-off, ``rnorm <= 16 * machine_eps * scale``, with ``scale`` the
@@ -395,11 +395,11 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
         # and stops at the loose forcing term; Newton corrects it.  From
         # zero the loose solve can leave Newton short of round-off (three
         # bulges, mesh2 n=32, dt = 1e-2 stalls in 30 iterations)
-        first = stats.iterations == 0 and op.last_update is not None
+        warm = stats.iterations == 0 and op.last_update is not None
         try:
             du, krylov, fallback = op.direction(
-                u, mu, r1, terms, op.last_update if first else None,
-                NEWTON_FIRST_RTOL if first else NEWTON_LINEAR_RTOL)
+                u, mu, r1, terms, op.last_update if warm else None,
+                NEWTON_FIRST_RTOL if warm else NEWTON_LINEAR_RTOL)
         except NewtonDivergenceError as exc:    # singular LU factorization
             exc.stats = stats
             raise

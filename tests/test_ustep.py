@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ksdg import (ModelParams, NewtonDivergenceError, aupw_apply, build_structured_mesh, integrate_cellfield,
-                  pos_part, simulate, solve_u_step)
+from ksdg import (ModelParams, NewtonDivergenceError, aupw_apply,
+                  build_structured_mesh, integrate_cellfield, pos_part,
+                  simulate, solve_u_step)
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
 from ksdg.ustep import NewtonOperator

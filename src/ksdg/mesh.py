@@ -110,32 +110,38 @@ class TriMesh:
         if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise MeshError("triangle vertex index out of range")
 
-        # Uniform counterclockwise orientation.
-        p0 = vertices[triangles[:, 0]]
-        e1 = vertices[triangles[:, 1]] - p0
-        e2 = vertices[triangles[:, 2]] - p0
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        flip = cross < 0.0
-        triangles[flip] = triangles[flip][:, [0, 2, 1]]
-        areas = 0.5 * np.abs(cross)
+        # One gather of the corners feeds the orientation, the areas, the
+        # basis gradients and the barycenters.
+        p = np.take(vertices, triangles, axis=0)
+        x, y = p[..., 0], p[..., 1]
+        cross = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                 - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        # uniform counterclockwise orientation: swap the last two corners
+        flip = np.flatnonzero(cross < 0.0)
+        triangles[flip, 1:] = triangles[flip, :0:-1]
+        p[flip, 1:] = p[flip, :0:-1]
+        areas = np.abs(cross, out=cross)
+        areas *= 0.5
 
         extent = max(vertices.max() - vertices.min(), 1.0)
         if np.any(areas <= 1e-14 * extent ** 2):
             raise MeshError("degenerate (zero-area) triangle in mesh")
 
-        p = vertices[triangles]
-        # the gradient of the basis function of corner a is the opposite
-        # side rotated by 90 degrees over twice the area
-        opp = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-        grads = np.stack((-opp[:, :, 1], opp[:, :, 0]), axis=2)
-        grads /= (2.0 * areas)[:, None, None]
+        # the gradient of the basis function of corner a is its opposite
+        # side c - b rotated by 90 degrees over twice the area; -(y_c - y_b)
+        # and y_b - y_c differ in the sign of a zero
+        grads = np.empty_like(p)
+        twice = 2.0 * areas
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.divide(-(y[:, c] - y[:, b]), twice, out=grads[:, a, 0])
+            np.divide(x[:, c] - x[:, b], twice, out=grads[:, a, 1])
 
         self.vertices = vertices
         self.triangles = triangles
         self.pattern = None if pattern is None else _normalize_pattern(pattern)
         self.square_side = None if square_side is None else float(square_side)
         self.areas = areas
-        self.barycenters = p.mean(axis=1)
+        self.barycenters = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
         self.vertex_areas = np.bincount(
             triangles.ravel(), weights=np.repeat(areas / 3.0, 3),
             minlength=len(vertices))
@@ -146,26 +152,33 @@ class TriMesh:
     # -- connectivity ----------------------------------------------------
 
     def _build_edges(self):
-        # Sort the 3*nt triangle sides by their sorted vertex pair; the
-        # stable sort keeps each run of equal pairs in cell order.
-        sides = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                        axis=1)
-        keys = sides[:, 0] * len(self.vertices) + sides[:, 1]
+        # Side s of triangle t runs from corner s to corner s + 1 and sits
+        # at 3t + s; it is keyed by its vertex pair (lo, hi), lo < hi, as
+        # lo * nv + hi.  The stable sort of the keys keeps each run of
+        # equal pairs in cell order; only the sides that become edges are
+        # gathered back.
+        tri = self.triangles
+        nxt = tri[:, [1, 2, 0]]
+        lo = np.minimum(tri, nxt).ravel()
+        hi = np.maximum(tri, nxt, out=nxt).ravel()
+        keys = lo * len(self.vertices)
+        keys += hi
         order = np.argsort(keys, kind="stable")
-        sides = sides[order]
-        cells = order // 3
-        starts = np.flatnonzero(np.r_[True, np.diff(keys[order]) != 0])
-        counts = np.diff(np.r_[starts, len(sides)])
-        if np.any(counts > 2):
-            a, b = sides[starts[counts > 2][0]]
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        counts = np.diff(np.r_[starts, len(keys)])
+        if counts.max() > 2:
+            first = order[starts[np.argmax(counts > 2)]]
             raise MeshError("edge %r shared by more than two triangles"
-                            % ((int(a), int(b)),))
-        inner = starts[counts == 2]
-        bound = starts[counts == 1]
+                            % ((int(lo[first]), int(hi[first])),))
+        pairs = starts[counts == 2]
+        inner = order[pairs]
+        bound = order[starts[counts == 1]]
 
-        ev = sides[inner]
-        ec = np.column_stack((cells[inner], cells[inner + 1]))
-        dvec = self.barycenters[ec[:, 1]] - self.barycenters[ec[:, 0]]
+        ev = np.column_stack((lo[inner], hi[inner]))
+        ec = np.column_stack((inner // 3, order[pairs + 1] // 3))
+        dvec = (np.take(self.barycenters, ec[:, 1], axis=0)
+                - np.take(self.barycenters, ec[:, 0], axis=0))
         dists = np.hypot(dvec[:, 0], dvec[:, 1])
         lengths, normals, side = _lengths_and_normals(self.vertices, ev, dvec)
         if np.any(np.abs(side) <= 1e-14 * dists):
@@ -177,11 +190,12 @@ class TriMesh:
         self.edge_weights = lengths / dists
         self.edge_normals = normals
 
-        bv = sides[bound]
-        bc = cells[bound]
-        mid = 0.5 * (self.vertices[bv[:, 0]] + self.vertices[bv[:, 1]])
-        blen, bnrm, _ = _lengths_and_normals(self.vertices, bv,
-                                             mid - self.barycenters[bc])
+        bv = np.column_stack((lo[bound], hi[bound]))
+        bc = bound // 3
+        mid = 0.5 * (np.take(self.vertices, bv[:, 0], axis=0)
+                     + np.take(self.vertices, bv[:, 1], axis=0))
+        mid -= np.take(self.barycenters, bc, axis=0)
+        blen, bnrm, _ = _lengths_and_normals(self.vertices, bv, mid)
         self.bedge_vertices = bv
         self.bedge_cell = bc
         self.bedge_lengths = blen
@@ -255,6 +269,13 @@ class CellPattern:
     slots: np.ndarray
 
 
+def _index_dtype(n):
+    """Index type for sparse matrices with indices and entry counts below
+    ``n``: scipy takes int32 index arrays as they are, int64 ones it scans
+    and copies."""
+    return np.int32 if n < 2 ** 31 else np.int64
+
+
 def _build_cell_pattern(nc, edge_cells):
     k, l = edge_cells[:, 0], edge_cells[:, 1]
     cells = np.arange(nc)
@@ -264,8 +285,7 @@ def _build_cell_pattern(nc, edge_cells):
     order = np.argsort(rows * nc + cols, kind="stable")
     slots = np.empty_like(order)
     slots[order] = np.arange(len(order))
-    # scipy takes int32 index arrays as they are; int64 ones it copies
-    index = np.int32 if len(order) < 2 ** 31 else np.int64
+    index = _index_dtype(len(order))
     pattern = CellPattern(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nc)))
                               ).astype(index),
@@ -275,23 +295,34 @@ def _build_cell_pattern(nc, edge_cells):
 
 
 def _assemble_stiffness(mesh):
-    grads = mesh.lambda_gradients
-    local = mesh.areas[:, None, None] * np.einsum("tax,tbx->tab", grads, grads)
-    tri = mesh.triangles
+    # local[t, a, b] = |K| grad(lambda_a) . grad(lambda_b), symmetric in
+    # (a, b) bit for bit
+    gx, gy = mesh.lambda_gradients[..., 0], mesh.lambda_gradients[..., 1]
+    local = np.empty((mesh.n_cells, 3, 3))
+    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        entry = gx[:, a] * gx[:, b]
+        entry += gy[:, a] * gy[:, b]
+        entry *= mesh.areas
+        local[:, a, b] = entry
+        local[:, b, a] = entry
+    nv = mesh.n_vertices
+    tri = mesh.triangles.astype(_index_dtype(nv))
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    nv = mesh.n_vertices
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def _lengths_and_normals(verts, pairs, toward):
     """Length and unit normal of each edge, the normal turned to the side
     of ``toward``; also the normal's component along ``toward``."""
-    tang = verts[pairs[:, 1]] - verts[pairs[:, 0]]
+    tang = (np.take(verts, pairs[:, 1], axis=0)
+            - np.take(verts, pairs[:, 0], axis=0))
     lengths = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.column_stack((tang[:, 1], -tang[:, 0])) / lengths[:, None]
+    normals = np.empty_like(tang)
+    np.divide(tang[:, 1], lengths, out=normals[:, 0])
+    np.divide(-tang[:, 0], lengths, out=normals[:, 1])
     side = np.einsum("ij,ij->i", normals, toward)
-    normals[side < 0.0] *= -1.0
+    np.negative(normals, out=normals, where=(side < 0.0)[:, None])
     return lengths, normals, side
 
 
@@ -417,22 +448,25 @@ def verify_hypotheses(mesh):
     numeric violation of each check; a check passes within
     ``HYPOTHESIS_TOL``.  Meshes from ``build_structured_mesh`` pass both.
     """
-    verts = mesh.vertices
-    tang = verts[mesh.edge_vertices[:, 1]] - verts[mesh.edge_vertices[:, 0]]
+    verts, ev, ec = mesh.vertices, mesh.edge_vertices, mesh.edge_cells
+    tang = np.take(verts, ev[:, 1], axis=0) - np.take(verts, ev[:, 0], axis=0)
     tang /= mesh.edge_lengths[:, None]
-    dvec = (mesh.barycenters[mesh.edge_cells[:, 1]]
-            - mesh.barycenters[mesh.edge_cells[:, 0]])
+    dvec = (np.take(mesh.barycenters, ec[:, 1], axis=0)
+            - np.take(mesh.barycenters, ec[:, 0], axis=0))
     ortho = float(np.max(np.abs(np.einsum("ij,ij->i", tang, dvec))
                          / mesh.edge_dists, initial=0.0))
 
-    # the two sides leaving each corner of each triangle
-    p = mesh.vertices[mesh.triangles]
-    u = p[:, [1, 2, 0]] - p
-    w = p[:, [2, 0, 1]] - p
-    cosang = np.einsum("tai,tai->ta", u, w) / (
-        np.hypot(u[..., 0], u[..., 1]) * np.hypot(w[..., 0], w[..., 1]))
-    worst = float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
-    angle_excess = max(worst - 0.5 * np.pi, 0.0)
+    # The angle at corner a is obtuse exactly when grad(lambda_b) .
+    # grad(lambda_c) > 0: cos(theta_a) = -grad(lambda_b) . grad(lambda_c)
+    # / (|grad(lambda_b)| |grad(lambda_c)|) (Ciarlet & Raviart, 1973), so
+    # the normalized product is the sine of the angle's excess over pi/2.
+    grads = mesh.lambda_gradients
+    gb, gc = grads[:, [1, 2, 0]], grads[:, [2, 0, 1]]
+    norms = np.hypot(grads[..., 0], grads[..., 1])
+    sines = np.einsum("tax,tax->ta", gb, gc) / (norms[:, [1, 2, 0]]
+                                                 * norms[:, [2, 0, 1]])
+    # + 0.0 turns the -0 a right angle can give into 0; NaN stays NaN
+    angle_excess = float(np.arcsin(np.clip(sines.max(), 0.0, 1.0))) + 0.0
 
     return HypothesesReport(
         orthogonality_ok=ortho <= HYPOTHESIS_TOL,

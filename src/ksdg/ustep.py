@@ -156,11 +156,14 @@ def _flux_terms(k, l, w, u, mu):
     ``w``, with the edge values its derivatives and round-off scale
     reuse: ``(mu_K, mu_L, jp, jn, wk, wl, flux)``."""
     muk, mul = mu[k], mu[l]
-    jm = muk - mul
-    jp = np.maximum(jm, 0.0)
-    jn = np.maximum(-jm, 0.0)
+    jp = muk - mul
+    jn = np.negative(jp)
+    np.maximum(jp, 0.0, out=jp)
+    np.maximum(jn, 0.0, out=jn)
     wk, wl = u[k], u[l]
-    flux = w * (jp * wk - jn * wl)
+    flux = jp * wk
+    flux -= jn * wl
+    flux *= w
     return muk, mul, jp, jn, wk, wl, flux
 
 
@@ -180,9 +183,6 @@ class NewtonOperator:
         self.w_max = float(np.max(self.w, initial=0.0))
         self.diagonal, self.kl, self.lk = np.split(
             pattern.slots, [nc, nc + mesh.n_interior_edges])
-        # rows of the diagonal terms |K|/dt, a_KK and -a_KL: only the
-        # diagonal needs a scatter, each other slot belongs to one edge
-        self.rows = np.concatenate((np.arange(nc), self.k, self.l))
         self.schur = sp.csr_matrix((np.zeros(len(pattern.indices)),
                                     pattern.indices, pattern.indptr),
                                    shape=(nc, nc))
@@ -194,9 +194,11 @@ class NewtonOperator:
         """Mass-balance rows and the ``_flux_terms`` they come from."""
         terms = _flux_terms(self.k, self.l, self.w, np.maximum(u, 0.0), mu)
         flux, nc = terms[-1], len(u)
-        r1 = (self.mesh.areas * (u - u_old) / self.params.dt
-              + np.bincount(self.k, weights=flux, minlength=nc)
-              - np.bincount(self.l, weights=flux, minlength=nc))
+        r1 = u - u_old
+        r1 *= self.mesh.areas
+        r1 /= self.params.dt
+        r1 += np.bincount(self.k, weights=flux, minlength=nc)
+        r1 -= np.bincount(self.l, weights=flux, minlength=nc)
         return r1, terms
 
     def roundoff_scale(self, u, u_old, terms):
@@ -213,14 +215,15 @@ class NewtonOperator:
                  + np.bincount(self.l, weights=fscale, minlength=len(u)))
         return float(scale.max())
 
-    def roundoff_bound(self, u, u_old, mu):
-        """Upper bound of ``roundoff_scale`` from the maxima of the fields:
-        a cell has at most three interior edges, and each adds at most
-        ``w (|mu_K| + |mu_L|) max(w_K, w_L)`` to its row."""
-        umax = float(np.max(u))
+    def roundoff_bound(self, u, old_max, mu):
+        """Upper bound of ``roundoff_scale`` from the maxima of the fields,
+        ``old_max`` that of ``|u_old|``: a cell has at most three interior
+        edges, and each adds at most ``w (|mu_K| + |mu_L|) max(w_K, w_L)``
+        to its row."""
+        umax = float(u.max())
         return (self.area_max / self.params.dt
-                * (max(umax, -float(np.min(u))) + float(np.max(np.abs(u_old))))
-                + 6.0 * self.w_max * float(np.max(np.abs(mu))) * max(umax, 0.0))
+                * (max(umax, -float(u.min())) + old_max)
+                + 6.0 * self.w_max * float(abs(mu).max()) * max(umax, 0.0))
 
     def refill(self, u, terms):
         """Overwrite ``schur`` with the Jacobian ``J`` of the mass balance
@@ -240,15 +243,29 @@ class NewtonOperator:
         off-diagonal entries are nonpositive.
         """
         _, _, jp, jn, wk, wl, _ = terms
-        # the truncated weight max(u, 0) is positive exactly where u is
-        hk, hl = wk > 0.0, wl > 0.0
         # dF/d[mu] of the jump parts
-        df_djm = self.w * ((jp > 0.0) * wk + (jn > 0.0) * wl)
-        ratio = self.params.k0 / (u + self.params.eps)
-        a_kk = self.w * jp * hk + df_djm * ratio[self.k]
-        a_kl = -self.w * jn * hl - df_djm * ratio[self.l]
-        diagonal = np.bincount(self.rows, minlength=len(u), weights=(
-            np.concatenate((self.mesh.areas / self.params.dt, a_kk, -a_kl))))
+        df_djm = (jp > 0.0) * wk
+        df_djm += (jn > 0.0) * wl
+        df_djm *= self.w
+        ratio = u + self.params.eps
+        np.divide(self.params.k0, ratio, out=ratio)
+        # the truncated weight max(u, 0) is positive exactly where u is
+        a_kk = self.w * jp
+        a_kk *= wk > 0.0
+        part = ratio[self.k]
+        part *= df_djm
+        a_kk += part
+        a_kl = -self.w
+        a_kl *= jn
+        a_kl *= wl > 0.0
+        np.take(ratio, self.l, out=part)
+        part *= df_djm
+        a_kl -= part
+        # only the diagonal needs a scatter, each other slot belongs to one
+        # edge; ufunc.at adds in edge order, one term at a time
+        diagonal = self.mesh.areas / self.params.dt
+        np.add.at(diagonal, self.k, a_kk)
+        np.subtract.at(diagonal, self.l, a_kl)
         data = self.schur.data
         data[self.diagonal] = diagonal
         data[self.kl] = a_kl
@@ -369,13 +386,16 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
     def trial(uu):
         """``(rnorm, u, mu, r1, terms, log(u + eps))`` at ``uu`` with
         ``mu = mu(uu)``."""
-        lg = np.log(uu + params.eps)
-        mm = params.k0 * lg - params.k1 * pi0v
+        lg = uu + params.eps
+        np.log(lg, out=lg)
+        mm = params.k0 * lg
+        mm -= params.k1 * pi0v
         r1, terms = op.mass_balance(uu, mm, u_old)
         return float(np.max(np.abs(r1))), uu, mm, r1, terms, lg
 
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms, lg = trial(u_old.copy())
+    old_max = float(abs(u_old).max())
     stats = NewtonStats(0, rnorm, False)
     while True:
         if not np.isfinite(rnorm):
@@ -384,7 +404,7 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
                 % (rnorm, stats.iterations), u=u, mu=mu, stats=stats)
         # the exact scale only runs where it can stop Newton: the factor 2
         # covers the rounding of the bound
-        if (rnorm <= 32.0 * _EPS * op.roundoff_bound(u, u_old, mu)
+        if (rnorm <= 32.0 * _EPS * op.roundoff_bound(u, old_max, mu)
                 and rnorm <= 16.0 * _EPS * op.roundoff_scale(u, u_old, terms)):
             break
         if stats.iterations >= NEWTON_MAX_ITERS:

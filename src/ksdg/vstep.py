@@ -26,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import _check_cellfield, _check_nodefield
+from .mesh import _index_dtype
 
 #: Normwise backward error every solve must reach, in the max norm:
 #: ``|r| <= RESIDUAL_RTOL * (|A| |x| + |rhs|)``.
@@ -80,8 +81,9 @@ class VStepSystem:
 
 
 def _assemble_load(mesh):
-    rows = mesh.triangles.ravel()
-    cols = np.repeat(np.arange(mesh.n_cells), 3)
+    index = _index_dtype(max(mesh.n_vertices, mesh.n_cells))
+    rows = mesh.triangles.astype(index).ravel()
+    cols = np.repeat(np.arange(mesh.n_cells, dtype=index), 3)
     data = np.repeat(mesh.areas / 3.0, 3)
     return sp.coo_matrix((data, (rows, cols)),
                          shape=(mesh.n_vertices, mesh.n_cells)).tocsr()

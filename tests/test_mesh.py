@@ -141,6 +141,17 @@ class TestHypotheses:
         assert report.orthogonality_ok and report.acute_ok
         assert report.max_violation <= 1e-12
 
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (0, 1)],
+        [(0, 0), (4, 3), (-3, 4)],
+        [(0.3, -0.2), (0.3, 0.5), (-1.1, 0.5)],
+    ])
+    def test_right_triangle_is_acute(self, vertices):
+        # a right angle sits on the pi/2 limit and is allowed
+        report = verify_hypotheses(TriMesh(vertices, [(0, 1, 2)]))
+        assert report.acute_ok
+        assert report.angle_violation <= 1e-12
+
     def test_obtuse_triangle_flagged(self):
         # apex angle well above pi/2
         mesh = TriMesh([(0, 0), (1, 0), (0.5, 0.1)], [(0, 1, 2)])
@@ -236,11 +247,24 @@ def assert_same_csr(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def perturbed_mesh(pattern, n, seed):
+    """A structured mesh with each interior vertex moved by up to 0.2% of
+    h in each direction, so that its triangles are not congruent."""
+    base = build_structured_mesh(pattern, n, (0, 1, 0, 1))
+    verts = base.vertices.copy()
+    inside = np.all((verts > 0) & (verts < 1), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inside] += rng.uniform(-2e-3, 2e-3, (inside.sum(), 2)) * base.h
+    return TriMesh(verts, base.triangles)
+
+
 class TestStiffness:
-    @pytest.fixture(params=["mesh1", "mesh2", "two_cell"])
+    @pytest.fixture(params=["mesh1", "mesh2", "two_cell", "perturbed"])
     def mesh(self, request):
         if request.param == "two_cell":
             return request.getfixturevalue("two_cell_mesh")
+        if request.param == "perturbed":
+            return perturbed_mesh("mesh2", 6, seed=4)
         return build_structured_mesh(request.param, 6)
 
     def test_built_once_and_read_only(self, mesh):
@@ -407,6 +431,8 @@ class TestOracle:
         ("mesh2", 1, (0, 1, 0, 1)),
         ("mesh2", 5, (-1, 1, 0, 2.4)),
         ("mesh2", 12, CENTERED_SQUARE),
+        ("mesh1", 64, CENTERED_SQUARE),
+        ("mesh2", 64, CENTERED_SQUARE),
     ])
     def test_structured_mesh_bit_equal(self, pattern, n, domain):
         mesh = build_structured_mesh(pattern, n, domain)
@@ -431,6 +457,16 @@ class TestOracle:
         tris[flip] = tris[flip][:, ::-1]
         _assert_matches_oracle(TriMesh(verts, tris),
                                _oracle_arrays(verts, tris))
+
+    @pytest.mark.parametrize("pattern", ["mesh1", "mesh2"])
+    def test_all_clockwise_triangulation_bit_equal(self, pattern):
+        # every triangle is reoriented, so corners 1 and 2 of every
+        # gathered corner triple swap
+        base = build_structured_mesh(pattern, 8, (0, 1, 0, 1))
+        tris = base.triangles[:, ::-1]
+        mesh = TriMesh(base.vertices, tris)
+        assert np.array_equal(mesh.triangles, base.triangles[:, [2, 0, 1]])
+        _assert_matches_oracle(mesh, _oracle_arrays(base.vertices, tris))
 
     def test_single_triangle_has_no_interior_edges(self):
         verts, tris = [(0, 0), (1, 0), (0, 1)], [(0, 2, 1)]

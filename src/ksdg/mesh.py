@@ -100,11 +100,17 @@ class TriMesh:
 
     def __init__(self, vertices, triangles, pattern=None, square_side=None):
         vertices = np.array(vertices, dtype=float)
-        triangles = np.array(triangles, dtype=np.int64)
+        given = np.asarray(triangles)
+        with np.errstate(invalid="ignore"):     # NaN has no integer value
+            triangles = given.astype(np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshError("vertex coordinates must be finite")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
+        if given.dtype.kind not in "iu" and np.any(triangles != given):
+            raise MeshError("triangle vertex indices must be integers")
         if len(triangles) == 0:
             raise MeshError("mesh needs at least one triangle")
         if triangles.min() < 0 or triangles.max() >= len(vertices):
@@ -339,9 +345,10 @@ def square_tiling(pattern, n, domain):
     xmin, xmax, ymin, ymax = (float(c) for c in domain)
     if not (0.0 < xmax - xmin < np.inf and 0.0 < ymax - ymin < np.inf):
         raise MeshError("degenerate domain: %r" % (domain,))
+    if not (np.isfinite(n) and n == int(n) and n >= 1):
+        raise MeshError("need a whole number n >= 1 of squares per side, "
+                        "got n=%r" % (n,))
     n = int(n)
-    if n < 1:
-        raise MeshError("need at least one square per side, got n=%d" % n)
     side = (xmax - xmin) / n
     ny_exact = (ymax - ymin) / side
     ny = int(round(ny_exact)) if ny_exact < np.inf else 0

@@ -13,10 +13,10 @@ be opened by standard viewers and diffed as text.  Points are the mesh
 vertices, cells the triangles; the file carries the cell density both as
 cell data (``u_p0``, the native representation) and as point data
 (``u_p1``, the positivity-preserving lumped vertex average used for
-plotting), plus the chemoattractant ``v`` as point data.  On a mesh of
-``WRITER_MIN_CELLS`` cells or more, a run hands its snapshots to a
-``SnapshotWriter``: one child process per run that formats and writes
-each file while the run computes the next step.
+plotting), plus the chemoattractant ``v`` as point data.  A run writes
+its snapshots through one ``SnapshotWriter``, which formats the mesh
+sections once; on a mesh of ``WRITER_MIN_CELLS`` cells or more, its
+child process writes each file while the run computes the next step.
 
 The mesh dump lists the vertices, triangles and the interior and
 boundary edge data with their normals, lengths and barycenter distances
@@ -109,30 +109,22 @@ def read_diagnostics_csv(path):
     return rows
 
 
-def write_vtk_snapshot(mesh, u, v, path, title="snapshot", mesh_text=None,
-                       writer=None):
+def write_vtk_snapshot(mesh, u, v, path, title="snapshot", writer=None):
     """Write one legacy ASCII VTK snapshot of a state to ``path``.
 
     ``u`` is a cell field, ``v`` a vertex field.  See the module
-    docstring for the arrays carried by the file.  Returns the text of
-    the mesh sections (points, cells and cell types); passing it back as
-    ``mesh_text`` for a later snapshot of the same mesh skips formatting
-    it again.
-
-    With a ``SnapshotWriter`` and a mesh of ``WRITER_MIN_CELLS`` cells or
-    more, the writer's child writes the file, which is complete once the
-    writer's next hand-off or ``close`` returns; otherwise it is complete
-    when this returns.
+    docstring for the arrays carried by the file.  Without a ``writer``
+    the file is complete when this returns; a ``SnapshotWriter`` must be
+    built for ``mesh`` (else ``ValueError``).
     """
     u = _check_cellfield(mesh, u, "u")
     v = _check_nodefield(mesh, v, "v")
-    if mesh_text is None:
-        mesh_text = _mesh_text(mesh)
-    if writer is None or mesh.n_cells < WRITER_MIN_CELLS:
-        _write_snapshot(mesh, mesh_text, u, v, path, title)
+    if writer is None:
+        _write_snapshot(mesh, _mesh_text(mesh), u, v, path, title)
+    elif writer.mesh is not mesh:
+        raise ValueError("snapshot writer built for another mesh")
     else:
-        writer.write(mesh, mesh_text, u, v, path, title)
-    return mesh_text
+        writer.write(u, v, path, title)
 
 
 def _write_snapshot(mesh, mesh_text, u, v, path, title):
@@ -154,20 +146,29 @@ def _write_snapshot(mesh, mesh_text, u, v, path, title):
 
 
 class SnapshotWriter:
-    """One child process that writes the snapshots of a run while the run
-    goes on (see ``write_vtk_snapshot``).
+    """Writes the snapshots of one run on ``mesh``, whose sections it
+    formats once; on a mesh of ``WRITER_MIN_CELLS`` cells or more, one
+    child process writes the files while the run goes on.
 
     Each hand-off waits for the previous file, so at most one is in
-    flight.  An error in the child, or its death, raises ``OSError`` at
+    flight, and a file is complete once the next ``write`` or ``close``
+    returns.  An error in the child, or its death, raises ``OSError`` at
     the next hand-off or at ``close``; on leaving a ``with`` block, an
     exception already propagating wins.  The child is forked where the
     platform offers ``fork``, else spawned.  It calls no BLAS routine, so
     forking under a threaded BLAS is safe (Python >= 3.12 still warns).
     """
 
-    _process = _conn = _pending = None
+    _process = _conn = _pending = _text = None
 
-    def write(self, mesh, mesh_text, u, v, path, title):
+    def __init__(self, mesh):
+        self.mesh = mesh
+
+    def write(self, u, v, path, title):
+        if self._text is None:
+            self._text = _mesh_text(self.mesh)
+        if self.mesh.n_cells < WRITER_MIN_CELLS:
+            return _write_snapshot(self.mesh, self._text, u, v, path, title)
         if self._process is None:
             import multiprocessing  # paid only by runs that start a writer
             ctx = multiprocessing.get_context(
@@ -175,7 +176,7 @@ class SnapshotWriter:
                 else "spawn")
             self._conn, child_conn = ctx.Pipe()
             self._process = ctx.Process(target=_serve, daemon=True, args=(
-                child_conn, self._conn, mesh, mesh_text))
+                child_conn, self._conn, self.mesh, self._text))
             self._process.start()
             child_conn.close()      # so a dead child is EOF here
         self._wait()

@@ -288,8 +288,7 @@ def simulate(mesh, params, u0, v0=None):
 
         pi0v = project_p1_to_p0(mesh, v_new)
         try:
-            u_new, mu_new, stats = solve_u_step(
-                mesh, state.u, v_new, params, operator=operator, pi0v=pi0v)
+            u_new, mu_new, stats = solve_u_step(operator, state.u, pi0v)
         except UStepError as exc:
             raise StepFailureError("density step failed at step %d (t=%g): %s"
                                    % (m, t, exc), m, t, cause=exc) from exc
@@ -316,8 +315,8 @@ def run(cfg):
     Builds the mesh and initial fields described by ``cfg`` (a
     ``RunConfig``) and runs the time loop to ``t_end``.  A legacy-format
     VTK snapshot is written at each step where one or more configured
-    snapshot times come due; on a mesh of ``output.WRITER_MIN_CELLS``
-    cells or more, one child process per run (``output.SnapshotWriter``)
+    snapshot times come due, by one ``output.SnapshotWriter`` per run; on
+    a mesh of ``output.WRITER_MIN_CELLS`` cells or more, its child process
     writes them while the run computes the next step.  The output
     directories are created and the CSV file is truncated before the
     first step, so an unwritable CSV path fails before any work is done;
@@ -343,8 +342,7 @@ def run(cfg):
     rows = []
     state = None
     next_snap = 0
-    mesh_text = None    # formatted by the first snapshot, then reused
-    with _output.SnapshotWriter() as writer:
+    with _output.SnapshotWriter(mesh) as writer:
         try:
             for state, row in simulate(mesh, cfg.params, u0, v0):
                 rows.append(row)
@@ -356,10 +354,9 @@ def run(cfg):
                 if cfg.vtk_dir and next_snap > seen:
                     path = os.path.join(cfg.vtk_dir,
                                         "snap_%06d.vtk" % state.m)
-                    mesh_text = _output.write_vtk_snapshot(
+                    _output.write_vtk_snapshot(
                         mesh, state.u, state.v, path,
-                        title="t=%.9g" % state.t, mesh_text=mesh_text,
-                        writer=writer)
+                        title="t=%.9g" % state.t, writer=writer)
         finally:
             if cfg.csv_path:
                 _output.write_diagnostics_csv(rows, cfg.csv_path)

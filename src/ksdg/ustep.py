@@ -23,10 +23,11 @@ constant, the volume part of the transport form vanishes identically
 (cellwise gradients are zero) and only the edge sum remains.
 
 The potential is pointwise in ``u``, so every Newton iterate sets
-``mu(u)`` exactly and a damped Newton method runs on ``u`` alone.  Its
-exact Jacobian, with the one-sided kink derivatives stated at
-``NewtonOperator.refill``, lives in one matrix per run on the mesh's
-fixed cell-adjacency pattern (``NewtonOperator``).  Each Newton
+``mu(u)`` exactly and a damped Newton method runs on ``u`` alone.  One
+``NewtonOperator`` per run holds its state, which ``solve_u_step`` reads:
+the mesh, ``params``, the warm start below and the exact Jacobian, with
+the one-sided kink derivatives stated at ``NewtonOperator.refill``, as
+one matrix on the mesh's fixed cell-adjacency pattern.  Each Newton
 iteration overwrites its values in place and solves it by a direct
 Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
 factorization when the Krylov solve misses its tolerance.
@@ -65,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import _check_cellfield, _check_nodefield, project_p1_to_p0
+from .fields import _check_cellfield
 
 _EPS = np.finfo(float).eps
 
@@ -120,11 +121,10 @@ class MassDriftError(UStepError):
 
 @dataclass
 class NewtonStats:
-    """Outcome of one nonlinear solve."""
+    """Outcome of one nonlinear solve (a failed one raises instead)."""
 
     iterations: int
     residual: float
-    converged: bool
     clamp: float = 0.0
     #: BiCGSTAB iterations summed over the Newton iterations
     linear_iterations: int = 0
@@ -341,21 +341,18 @@ def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
     return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
 
 
-def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
+def solve_u_step(operator, u_old, pi0v):
     """Advance the cell density by one time step with Newton's method.
 
     Parameters
     ----------
+    operator : NewtonOperator
+        The run's, with its mesh, ``params`` and the last accepted update
+        ``u_new - u_old``, the start of the next first Krylov solve.
     u_old : (nc,) array, nonnegative
-    v_new : (nv,) array
-        Chemoattractant field already advanced to the new time level.
-    operator : NewtonOperator, optional
-        Built for ``mesh`` and ``params``, and reused across the steps of
-        a run; a temporary one is built when omitted.  It keeps the
-        accepted update ``u_new - u_old``, the start of the next step's
-        first Krylov solve.
-    pi0v : (nc,) array, optional
-        ``project_p1_to_p0(mesh, v_new)``, when the caller has it already.
+    pi0v : (nc,) array
+        Cell averages of the chemoattractant field already advanced to
+        the new time level, ``project_p1_to_p0(mesh, v_new)``.
 
     Returns
     -------
@@ -372,16 +369,12 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
         accepted trial.
     PositivityError, MassDriftError
     """
+    op, mesh, params = operator, operator.mesh, operator.params
     u_old = _check_cellfield(mesh, u_old, "u_old")
     if np.min(u_old) < 0.0:
         raise ValueError("u_old must be nonnegative, min is %g"
                          % float(np.min(u_old)))
-    v_new = _check_nodefield(mesh, v_new, "v_new")
-    pi0v = (project_p1_to_p0(mesh, v_new) if pi0v is None
-            else _check_cellfield(mesh, pi0v, "pi0v"))
-    op = operator or NewtonOperator(mesh, params)
-    if (op.mesh, op.params) != (mesh, params):
-        raise ValueError("operator built for another mesh or params")
+    pi0v = _check_cellfield(mesh, pi0v, "pi0v")
 
     def trial(uu):
         """``(rnorm, u, mu, r1, terms, log(u + eps))`` at ``uu`` with
@@ -396,7 +389,7 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms, lg = trial(u_old.copy())
     old_max = float(abs(u_old).max())
-    stats = NewtonStats(0, rnorm, False)
+    stats = NewtonStats(0, rnorm)
     while True:
         if not np.isfinite(rnorm):
             raise NewtonDivergenceError(
@@ -471,7 +464,6 @@ def solve_u_step(mesh, u_old, v_new, params, operator=None, pi0v=None):
     # max(u, 0) is the same before and after the clamp; jp - jn == [mu]
     *_, jp, jn, _, _, flux = terms
     stats.dissipation = float(np.dot(flux, jp - jn))
-    stats.converged = True
     stats.clamp = clamp
     stats.log_u = lg
     op.last_update = u - u_old

@@ -15,10 +15,10 @@ term is dropped and ``v_old`` is ignored entirely.
 
 The system matrix is symmetric positive definite, and on acute meshes it
 is an M-matrix, so nonnegative ``u`` and ``v_old`` give a nonnegative
-solution.  When its Jacobi-scaled rows have off-diagonal sums of at most
-``JACOBI_RADIUS_MAX`` (``tau = 1`` with a small ``dt``), CG solves it.
-Otherwise, or when CG misses, a factor with a symmetric ordering and
-diagonal pivots does.
+solution.  When its Jacobi radius (the largest off-diagonal sum of its
+Jacobi-scaled rows, set at assembly) is at most ``JACOBI_RADIUS_MAX``
+(``tau = 1`` with a small ``dt``), CG solves it.  Otherwise, or when CG
+misses, a factor with a symmetric ordering and diagonal pivots does.
 """
 
 import numpy as np
@@ -58,6 +58,8 @@ class VStepSystem:
         ``k4 * load_matrix @ u``.
     matrix : csr_matrix
         Composed system matrix for the parameters given at assembly.
+    diagonal, jacobi_radius, norm_inf : (nv,) array, float, float
+        Rows of ``matrix``: diagonal, Jacobi radius and ``|matrix|_inf``.
     """
 
     def __init__(self, mesh, params):
@@ -67,10 +69,13 @@ class VStepSystem:
         self.stiffness = mesh.stiffness
         self.load_matrix = _assemble_load(mesh)
         coef = params.tau / params.dt + params.k3
-        self.matrix = (params.k2 * self.stiffness
-                       + sp.diags(coef * self.lumped_mass)).tocsr()
+        matrix = self.matrix = (params.k2 * self.stiffness
+                                + sp.diags(coef * self.lumped_mass)).tocsr()
+        self.diagonal = matrix.diagonal()
+        sums = np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1])
+        self.jacobi_radius = np.max(sums / self.diagonal) - 1.0
+        self.norm_inf = np.max(sums)
         self._lu = None
-        self._rows = None   # diagonal, Jacobi radius and |A|_inf
 
     def _factorized(self):
         if self._lu is None:
@@ -152,18 +157,14 @@ def solve_v_step(system, v_prev, u_prev):
         v_prev = _check_nodefield(mesh, v_prev, "v_prev")
         rhs = rhs + (params.tau / params.dt) * system.lumped_mass * v_prev
 
-    matrix = system.matrix
-    if system._rows is None:
-        d = matrix.diagonal()
-        sums = np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1])
-        system._rows = d, np.max(sums / d) - 1.0, np.max(sums)
-    d, q, norm_a = system._rows
+    matrix, q = system.matrix, system.jacobi_radius
 
     def misses(x, r):       # true for a NaN residual or an infinite bound
         return not (abs(r).max() <= RESIDUAL_RTOL * (
-            norm_a * abs(x).max() + abs(rhs).max()) < np.inf)
+            system.norm_inf * abs(x).max() + abs(rhs).max()) < np.inf)
 
-    solved = _pcg(matrix, rhs, d, q) if q <= JACOBI_RADIUS_MAX else None
+    solved = (_pcg(matrix, rhs, system.diagonal, q)
+              if q <= JACOBI_RADIUS_MAX else None)
     if solved is None or misses(*solved):
         lu = system._factorized()
         x = lu.solve(rhs)

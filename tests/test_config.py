@@ -112,6 +112,10 @@ class TestParsing:
         with pytest.raises(ConfigError):
             RunConfig(snapshot_times=(2.0,))
 
+    def test_non_integral_square_count_rejected(self):
+        with pytest.raises(ConfigError, match="whole number"):
+            RunConfig(n=3.7)
+
     @pytest.mark.parametrize("text,line", [
         ("[params]\nk0 = -1\n", 2),
         ("[params]\ntau = 1\nk0 = -1\n", 3),

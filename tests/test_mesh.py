@@ -40,6 +40,11 @@ class TestBuildStructured:
         with pytest.raises(MeshError):
             build_structured_mesh("mesh2", 0)
 
+    def test_non_integral_square_count_rejected(self):
+        # an integer cast would silently build the n = 2 mesh
+        with pytest.raises(MeshError, match="whole number"):
+            build_structured_mesh("mesh2", 2.5)
+
     def test_unknown_pattern(self):
         with pytest.raises(MeshError, match="unknown mesh pattern"):
             build_structured_mesh("mesh7", 2)
@@ -171,6 +176,20 @@ class TestTriMesh:
     def test_zero_area_triangle_rejected(self):
         with pytest.raises(MeshError, match="degenerate"):
             TriMesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_vertex_rejected(self, bad):
+        # a NaN corner gives NaN areas, which pass the zero-area check
+        with pytest.raises(MeshError, match="finite"):
+            TriMesh([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
+
+    def test_non_integral_triangle_index_rejected(self):
+        # an integer cast would turn (0, 1, 2.7) into (0, 1, 2); integral
+        # floats stay valid
+        with pytest.raises(MeshError, match="integers"):
+            TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2.7)])
+        mesh = TriMesh([(0, 0), (1, 0), (0, 1)], [(0.0, 1.0, 2.0)])
+        assert np.array_equal(mesh.triangles, [(0, 1, 2)])
 
     def test_bad_vertex_index_rejected(self):
         with pytest.raises(MeshError, match="out of range"):

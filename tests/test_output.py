@@ -178,6 +178,17 @@ class TestVtk:
             write_vtk_snapshot(mesh, np.zeros(3), np.zeros(5),
                                tmp_path / "x.vtk")
 
+    def test_writer_for_another_mesh_rejected(self, tmp_path):
+        # an equal mesh built again is another mesh: its writer keeps the
+        # text of the mesh it was built for
+        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        writer = output.SnapshotWriter(
+            build_structured_mesh("mesh2", 1, (0, 1, 0, 1)))
+        with pytest.raises(ValueError, match="another mesh"):
+            write_vtk_snapshot(mesh, np.zeros(4), np.zeros(5),
+                               tmp_path / "x.vtk", writer=writer)
+        assert not (tmp_path / "x.vtk").exists()
+
 
 # -- oracles: the per-line writers the block writers replaced --
 
@@ -249,21 +260,24 @@ def extreme_field(n, rng):
     return values
 
 
-def assert_matches_oracles(mesh, rng, tmp_path):
+def assert_matches_oracles(mesh, rng, tmp_path, monkeypatch):
     u = extreme_field(mesh.n_cells, rng)
     v = extreme_field(mesh.n_vertices, rng)
-    mesh_text = write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk",
-                                   title="t=1e-05")
+    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=1e-05")
     oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=1e-05")
     assert (tmp_path / "got.vtk").read_bytes() == (
         tmp_path / "want.vtk").read_bytes()
-    # a later snapshot given the returned mesh text
-    u, v = u[::-1].copy(), v[::-1].copy()
-    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=2e-05",
-                       mesh_text=mesh_text)
-    oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=2e-05")
-    assert (tmp_path / "got.vtk").read_bytes() == (
-        tmp_path / "want.vtk").read_bytes()
+    # two snapshots through one inline writer, the second reusing the
+    # mesh text the first formatted
+    monkeypatch.setattr(output, "WRITER_MIN_CELLS", mesh.n_cells + 1)
+    writer = output.SnapshotWriter(mesh)
+    for title in ("t=1e-05", "t=2e-05"):
+        u, v = u[::-1].copy(), v[::-1].copy()
+        write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title=title,
+                           writer=writer)
+        oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title=title)
+        assert (tmp_path / "got.vtk").read_bytes() == (
+            tmp_path / "want.vtk").read_bytes()
     dump_mesh(mesh, tmp_path / "got.txt")
     oracle_dump(mesh, tmp_path / "want.txt")
     assert (tmp_path / "got.txt").read_bytes() == (
@@ -283,17 +297,19 @@ class TestBlockWriters:
         # than a chunk
         monkeypatch.setattr(output, "CHUNK_ROWS",
                             getattr(mesh, section) - offset)
-        assert_matches_oracles(mesh, rng, tmp_path)
+        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
 
-    def test_bytes_equal_oracle_at_default_chunk_size(self, rng, tmp_path):
+    def test_bytes_equal_oracle_at_default_chunk_size(self, monkeypatch, rng,
+                                                      tmp_path):
         mesh = build_structured_mesh("mesh2", 32)
         assert mesh.n_cells == output.CHUNK_ROWS
-        assert_matches_oracles(mesh, rng, tmp_path)
+        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
 
-    def test_single_triangle_has_an_empty_edge_block(self, rng, tmp_path):
+    def test_single_triangle_has_an_empty_edge_block(self, monkeypatch, rng,
+                                                     tmp_path):
         mesh = TriMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
         assert mesh.n_interior_edges == 0
-        assert_matches_oracles(mesh, rng, tmp_path)
+        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
         text = (tmp_path / "got.txt").read_text().splitlines()
         assert text[text.index("interior_edges 0") + 1] == "boundary_edges 3"
 

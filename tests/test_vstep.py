@@ -133,6 +133,16 @@ class TestAssembly:
         eigs = np.linalg.eigvalsh(system.matrix.toarray())
         assert eigs.min() > 0
 
+    def test_jacobi_rows_set_at_assembly(self, crisscross_unit):
+        system = assemble_v_system(crisscross_unit,
+                                   ModelParams(dt=1e-3, t_end=1e-3))
+        dense = system.matrix.toarray()
+        sums = np.abs(dense).sum(axis=1)
+        assert np.array_equal(system.diagonal, np.diag(dense))
+        assert system.norm_inf == pytest.approx(np.max(sums), rel=1e-15)
+        assert system.jacobi_radius == pytest.approx(
+            np.max(sums / np.diag(dense)) - 1.0, rel=1e-14)
+
     def test_load_matrix_pairs_cells_exactly(self, crisscross_unit):
         system = assemble_v_system(crisscross_unit, ModelParams())
         u = np.array([1.0, 0.0, 0.0, 0.0])
@@ -281,14 +291,14 @@ class TestJacobiCG:
         system, v, u = preset_step("one_bulge", "mesh1", 16)
         x = solve_v_step(system, v, u)
         assert system._lu is None
-        assert system._rows[1] <= vstep.JACOBI_RADIUS_MAX
+        assert system.jacobi_radius <= vstep.JACOBI_RADIUS_MAX
         oracle = spla.splu(system.matrix.tocsc()).solve(step_rhs(system, v, u))
         assert np.max(np.abs(x - oracle)) <= 2 * V_TOL * np.max(np.abs(x))
 
     def test_elliptic_step_is_factored(self):
         system, v, u = preset_step("three_bulges", "mesh1", 16)
         solve_v_step(system, v, u)
-        assert system._rows[1] > vstep.JACOBI_RADIUS_MAX
+        assert system.jacobi_radius > vstep.JACOBI_RADIUS_MAX
         assert system._lu is not None
 
     def test_iteration_cap_falls_back_to_the_factor(self, monkeypatch):

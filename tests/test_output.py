@@ -1,9 +1,12 @@
+import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ksdg import (CSV_HEADER, ModelParams, TriMesh, build_structured_mesh,
                   dump_mesh, output, project_p0_to_p1_lumped,
@@ -189,6 +192,37 @@ class TestVtk:
                                tmp_path / "x.vtk", writer=writer)
         assert not (tmp_path / "x.vtk").exists()
 
+    def test_every_line_break_in_the_title_becomes_a_space(self, tmp_path):
+        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        path = tmp_path / "snap.vtk"
+        write_vtk_snapshot(mesh, np.ones(4), np.ones(5), path,
+                           title="a\rb\r\nc\u2028d")
+        assert path.read_text().splitlines()[1] == "a b  c d"
+        assert len(parse_vtk(path)["u_p0"]) == 4
+
+    def test_title_breaks_are_those_of_splitlines(self):
+        breaks = {c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(("a%sb" % c).splitlines()) == 2}
+        assert set(map(chr, output._TITLE_BREAKS)) == breaks
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_title_over_255_bytes_rejected(self, monkeypatch, tmp_path,
+                                           inline):
+        # the legacy header line holds 256 bytes with its newline
+        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        monkeypatch.setattr(output, "WRITER_MIN_CELLS", 5 if inline else 1)
+        with output.SnapshotWriter(mesh) as writer:
+            write_vtk_snapshot(mesh, np.ones(4), np.ones(5),
+                               tmp_path / "ok.vtk", title="t" * 255,
+                               writer=writer)
+            for title in ("t" * 400, "\u00e9" * 128):
+                with pytest.raises(ValueError, match="255 bytes"):
+                    write_vtk_snapshot(mesh, np.ones(4), np.ones(5),
+                                       tmp_path / "x.vtk", title=title,
+                                       writer=writer)
+        assert not (tmp_path / "x.vtk").exists()
+        assert parse_vtk(tmp_path / "ok.vtk")["cell_types"] == [5] * 4
+
 
 # -- oracles: the per-line writers the block writers replaced --
 
@@ -312,6 +346,127 @@ class TestBlockWriters:
         assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
         text = (tmp_path / "got.txt").read_text().splitlines()
         assert text[text.index("interior_edges 0") + 1] == "boundary_edges 3"
+
+
+#: Every line template the package writes.
+TEMPLATES = [
+    "%.17g %.17g 0\n",                             # VTK points
+    "3 %d %d %d\n",                                # VTK cells
+    "%.17g\n",                                     # VTK data
+    output._CSV_LINE,
+    "%.17g %.17g\n",                               # dump vertices
+    "%d %d %d\n",                                  # dump triangles
+    "%d %d %d %d %.17g %.17g %.17g %.17g\n",        # dump interior edges
+    "%d %d %d %.17g %.17g %.17g\n",                 # dump boundary edges
+]
+
+
+def test_templates_are_those_the_package_writes(monkeypatch, tmp_path):
+    used = set()
+    write_rows = output._write_rows
+    monkeypatch.setattr(output, "_write_rows", lambda fh, line, *columns: (
+        used.add(line), write_rows(fh, line, *columns)))
+    mesh, rows = small_run_rows(1)
+    write_vtk_snapshot(mesh, np.ones(mesh.n_cells),
+                       np.ones(mesh.n_vertices), tmp_path / "s.vtk")
+    write_diagnostics_csv(rows, tmp_path / "d.csv")
+    dump_mesh(mesh, tmp_path / "m.txt")
+    assert used == set(TEMPLATES)
+
+
+def per_value_text(line, columns):
+    """The oracle: ``line % row`` for each row, one ``%`` per value."""
+    return "".join(line % tuple(row) for row in zip(
+        *(column.tolist() for column in columns)))
+
+
+def block_text(line, *columns):
+    buf = io.StringIO()
+    output._write_rows(buf, line, *columns)
+    return buf.getvalue()
+
+
+#: Any float64: every bit pattern alike, and Hypothesis' own choice, which
+#: favours NaN, infinities, signed zeros, subnormals and bounds.
+any_float = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(width=64))
+any_int = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("rows", [0, 1, output.CHUNK_ROWS - 1,
+                                      output.CHUNK_ROWS,
+                                      output.CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("line", TEMPLATES)
+    @settings(max_examples=5, deadline=None)
+    @given(floats=st.lists(any_float, min_size=1, max_size=40),
+           ints=st.lists(any_int, min_size=1, max_size=40))
+    @example(floats=[np.nan, -0.0, 5e-324, 1e-269, -np.inf, 0.1],
+             ints=[-2 ** 63, 2 ** 63 - 1, 0, -1, 10])
+    def test_bytes_equal_per_value_percent(self, line, rows, floats, ints):
+        # the drawn values, repeated to fill the block, one column a field
+        kinds = output._FIELD.findall(line)
+        fill = {".17g": np.resize(np.array(floats), rows * len(kinds)),
+                "d": np.resize(np.array(ints, dtype=np.int64),
+                               rows * len(kinds))}
+        columns = [fill[kind][i::len(kinds)] for i, kind in enumerate(kinds)]
+        assert block_text(line, *columns) == per_value_text(line, columns)
+
+    def assert_g17_matches(self, values):
+        """``%.17g`` of ``values`` through the kernel equals ``%``, and the
+        kernel leaves some to ``%`` and decides the others itself."""
+        values = np.array(values, dtype=np.float64)
+        assert block_text("%.17g\n", values) == per_value_text(
+            "%.17g\n", [values])
+        undecided = output._g17_digits(values)[2]
+        assert 0 < len(undecided) < len(values)
+        return undecided
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
+        self.assert_g17_matches(np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
+        # the double nearest to 1e-269 lies just below it: its product
+        # with 10**285 is 1e16 plus a negative low part
+        assert block_text("%.17g\n", np.array([1e-269])) == (
+            "9.9999999999999996e-270\n")
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = np.array([1000000000000000.25, 1000000000000000.75,
+                         -1000000000000000.25, 100000000000000.125,
+                         100000000000000.375, 4503599627370495.5])
+        assert block_text("%.17g\n", ties).split() == [
+            "1000000000000000.2", "1000000000000000.8",
+            "-1000000000000000.2", "100000000000000.12",
+            "100000000000000.38", "4503599627370495.5"]
+        # ties go to %; their neighbours do not
+        undecided = self.assert_g17_matches(np.concatenate([
+            ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+        assert set(undecided) == {0, 1, 2, 3, 4}
+
+    def test_values_rounding_up_into_the_next_decade(self):
+        # the doubles nearest to 10**k that lie below it but whose 17
+        # digits round up to 10**k: the kernel decides them itself
+        ups = []
+        for k in range(-323, 309):
+            x = float("1e%d" % k)
+            if Fraction(x) < Fraction(10) ** k and not (
+                    "%.17g" % x).startswith("9"):
+                ups.append(x)
+        assert len(ups) >= 10
+        # exact powers of ten scaled down by 10 land on the decade
+        # boundary within the product's error bound: they go to %
+        boundary = [1e17, 1e18, 1e22]
+        undecided = self.assert_g17_matches(ups + boundary)
+        assert list(undecided) == [len(ups), len(ups) + 1, len(ups) + 2]
+
+    def test_extreme_doubles(self):
+        self.assert_g17_matches([
+            5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+            np.nan, np.inf, -np.inf, 1.0, 0.1, 1e-5, 1e16, 1e17, 123.0])
 
 
 class TestRunSnapshots:

@@ -15,21 +15,18 @@ be opened by standard viewers and diffed as text.  Points are the mesh
 vertices, cells the triangles; the file carries the cell density both as
 cell data (``u_p0``, the native representation) and as point data
 (``u_p1``, the positivity-preserving lumped vertex average used for
-plotting), plus the chemoattractant ``v`` as point data.  A run writes
-its snapshots through one ``SnapshotWriter``, which formats the mesh
-sections once; on a mesh of ``WRITER_MIN_CELLS`` cells or more, its
-child process writes each file while the run computes the next step.
+plotting), plus the chemoattractant ``v`` as point data.  The mesh
+sections of the last mesh written are kept, so a run formats its mesh
+once.
 
 The mesh dump lists the vertices, triangles and the interior and
 boundary edge data with their normals, lengths and barycenter distances
 (see ``dump_mesh``); it is meant for debugging connectivity by eye.
 """
 
-import contextlib
 import functools
 import io
 import re
-import signal
 
 import numpy as np
 
@@ -41,11 +38,6 @@ from .fields import (_check_cellfield, _check_nodefield,
 #: 10% faster and 2048 rows 15% slower; the peak RSS of a 3-step run
 #: stays within its 1 MB spread from run to run (2-vCPU Xeon).
 CHUNK_ROWS = 4096
-
-#: Smallest mesh whose snapshots go to a ``SnapshotWriter``.  Starting it
-#: (fork and first hand-off) takes 4-9 ms, as long as formatting a
-#: snapshot of 10,000-15,000 cells (0.4-0.6 us a cell; 2-vCPU Xeon).
-WRITER_MIN_CELLS = 4096
 
 #: Diagnostics CSV columns in file order, with the type of each value.
 _CSV_COLUMNS = (
@@ -335,8 +327,14 @@ def _write_rows(fh, line, *columns):
                  .translate(None, b"\0").decode("ascii"))
 
 
+@functools.lru_cache(maxsize=1)
 def _mesh_text(mesh):
-    """The POINTS, CELLS and CELL_TYPES sections of a snapshot of ``mesh``."""
+    """The POINTS, CELLS and CELL_TYPES sections of a snapshot of ``mesh``.
+
+    Kept for the last mesh, which stays alive until another is written: a
+    ``TriMesh`` has read-only arrays and hashes by identity, so its text
+    cannot go stale.
+    """
     buf = io.StringIO()
     buf.write("POINTS %d double\n" % mesh.n_vertices)
     _write_rows(buf, "%.17g %.17g 0\n", mesh.vertices)
@@ -380,38 +378,26 @@ _TITLE_BREAKS = dict.fromkeys(
     map(ord, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), " ")
 
 
-def write_vtk_snapshot(mesh, u, v, path, title="snapshot", writer=None):
+def write_vtk_snapshot(mesh, u, v, path, title="snapshot"):
     """Write one legacy ASCII VTK snapshot of a state to ``path``.
 
     ``u`` is a cell field, ``v`` a vertex field.  See the module
     docstring for the arrays carried by the file.  ``title`` is the
     file's second line, with each line break written as a space; the
     format's header line holds 256 bytes, so a title of more than 255
-    bytes in UTF-8 raises ``ValueError``.  Without a ``writer`` the file
-    is complete when this returns; a ``SnapshotWriter`` must be built for
-    ``mesh`` (else ``ValueError``).
+    bytes in UTF-8 raises ``ValueError``.  The file is complete when this
+    returns.
     """
     u = _check_cellfield(mesh, u, "u")
     v = _check_nodefield(mesh, v, "v")
     title = title.translate(_TITLE_BREAKS)
     if len(title.encode("utf-8")) > 255:
         raise ValueError("snapshot title longer than 255 bytes")
-    if writer is None:
-        _write_snapshot(mesh, _mesh_text(mesh), u, v, path, title)
-    elif writer.mesh is not mesh:
-        raise ValueError("snapshot writer built for another mesh")
-    else:
-        writer.write(u, v, path, title)
-
-
-def _write_snapshot(mesh, mesh_text, u, v, path, title):
-    """Format and write one snapshot; calls no BLAS routine (see
-    ``SnapshotWriter``)."""
     u_p1 = project_p0_to_p1_lumped(mesh, u)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 2.0\n%s\nASCII\n"
                  "DATASET UNSTRUCTURED_GRID\n" % title)
-        fh.write(mesh_text)
+        fh.write(_mesh_text(mesh))
         fh.write("POINT_DATA %d\nSCALARS u_p1 double\nLOOKUP_TABLE default\n"
                  % mesh.n_vertices)
         _write_rows(fh, "%.17g\n", u_p1)
@@ -420,96 +406,6 @@ def _write_snapshot(mesh, mesh_text, u, v, path, title):
         fh.write("CELL_DATA %d\nSCALARS u_p0 double\nLOOKUP_TABLE default\n"
                  % mesh.n_cells)
         _write_rows(fh, "%.17g\n", u)
-
-
-class SnapshotWriter:
-    """Writes the snapshots of one run on ``mesh``, whose sections it
-    formats once; on a mesh of ``WRITER_MIN_CELLS`` cells or more, one
-    child process writes the files while the run goes on.
-
-    Each hand-off waits for the previous file, so at most one is in
-    flight, and a file is complete once the next ``write`` or ``close``
-    returns.  An error in the child, or its death, raises ``OSError`` at
-    the next hand-off or at ``close``; on leaving a ``with`` block, an
-    exception already propagating wins.  The child is forked where the
-    platform offers ``fork``, else spawned.  It calls no BLAS routine, so
-    forking under a threaded BLAS is safe (Python >= 3.12 still warns).
-    """
-
-    _process = _conn = _pending = _text = None
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-
-    def write(self, u, v, path, title):
-        if self._text is None:
-            self._text = _mesh_text(self.mesh)
-        if self.mesh.n_cells < WRITER_MIN_CELLS:
-            return _write_snapshot(self.mesh, self._text, u, v, path, title)
-        if self._process is None:
-            import multiprocessing  # paid only by runs that start a writer
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-            self._conn, child_conn = ctx.Pipe()
-            self._process = ctx.Process(target=_serve, daemon=True, args=(
-                child_conn, self._conn, self.mesh, self._text))
-            self._process.start()
-            child_conn.close()      # so a dead child is EOF here
-        self._wait()
-        self._pending = path
-        try:
-            self._conn.send((u, v, path, title))
-        except ConnectionError:
-            self._wait()            # the child is gone: EOF names the file
-
-    def _wait(self):
-        path, self._pending = self._pending, None
-        if path is not None:
-            try:
-                error = self._conn.recv()
-            except (EOFError, ConnectionError):
-                # a child that died with a job unread resets the connection
-                error = "the writer process exited"
-            if error:
-                raise OSError("snapshot %s not written: %s" % (path, error))
-
-    def close(self):
-        """Wait for the last file, then stop and join the child."""
-        if self._process is not None:
-            try:
-                self._wait()
-            finally:
-                with contextlib.suppress(ConnectionError):
-                    self._conn.send(None)
-                self._conn.close()
-                self._process.join()
-                self._process = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            self.close()
-        except OSError:
-            if exc_type is None:
-                raise
-
-
-def _serve(conn, parent_conn, mesh, mesh_text):
-    """Child of ``SnapshotWriter``: write each job until ``None`` or EOF,
-    answering with ``None`` or the error text."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's
-    parent_conn.close()     # so a dead parent ends the loop
-    with contextlib.suppress(EOFError, ConnectionError):
-        for job in iter(conn.recv, None):
-            error = None
-            try:
-                _write_snapshot(mesh, mesh_text, *job)
-            except Exception as exc:    # the parent raises it
-                error = "%s: %s" % (type(exc).__name__, exc)
-            conn.send(error)
 
 
 def dump_mesh(mesh, path):

@@ -315,16 +315,14 @@ def run(cfg):
     Builds the mesh and initial fields described by ``cfg`` (a
     ``RunConfig``) and runs the time loop to ``t_end``.  A legacy-format
     VTK snapshot is written at each step where one or more configured
-    snapshot times come due, by one ``output.SnapshotWriter`` per run; on
-    a mesh of ``output.WRITER_MIN_CELLS`` cells or more, its child process
-    writes them while the run computes the next step.  The output
+    snapshot times come due, before the next step starts.  The output
     directories are created and the CSV file is truncated before the
     first step, so an unwritable CSV path fails before any work is done;
     the diagnostics rows are written to it in one go when the run ends.
     On a step failure the rows of the accepted steps are still written
-    and the failure is re-raised, also when a snapshot failed too; a
-    snapshot alone that cannot be written raises ``OSError``.  Returns
-    or raises once every file is complete and the child has exited.
+    and the failure is re-raised.  A snapshot that cannot be written
+    raises ``OSError`` at its own step, and the CSV then holds the rows
+    through that step.
 
     Returns a ``RunResult`` with the mesh, all diagnostics rows and the
     final state.
@@ -342,22 +340,19 @@ def run(cfg):
     rows = []
     state = None
     next_snap = 0
-    with _output.SnapshotWriter(mesh) as writer:
-        try:
-            for state, row in simulate(mesh, cfg.params, u0, v0):
-                rows.append(row)
-                seen = next_snap
-                while (next_snap < len(snap_times)
-                       and state.t >= snap_times[next_snap]
-                       - 0.5 * cfg.params.dt):
-                    next_snap += 1
-                if cfg.vtk_dir and next_snap > seen:
-                    path = os.path.join(cfg.vtk_dir,
-                                        "snap_%06d.vtk" % state.m)
-                    _output.write_vtk_snapshot(
-                        mesh, state.u, state.v, path,
-                        title="t=%.9g" % state.t, writer=writer)
-        finally:
-            if cfg.csv_path:
-                _output.write_diagnostics_csv(rows, cfg.csv_path)
+    try:
+        for state, row in simulate(mesh, cfg.params, u0, v0):
+            rows.append(row)
+            seen = next_snap
+            while (next_snap < len(snap_times)
+                   and state.t >= snap_times[next_snap]
+                   - 0.5 * cfg.params.dt):
+                next_snap += 1
+            if cfg.vtk_dir and next_snap > seen:
+                path = os.path.join(cfg.vtk_dir, "snap_%06d.vtk" % state.m)
+                _output.write_vtk_snapshot(mesh, state.u, state.v, path,
+                                           title="t=%.9g" % state.t)
+    finally:
+        if cfg.csv_path:
+            _output.write_diagnostics_csv(rows, cfg.csv_path)
     return RunResult(mesh, rows, state)

@@ -181,16 +181,23 @@ class TestVtk:
             write_vtk_snapshot(mesh, np.zeros(3), np.zeros(5),
                                tmp_path / "x.vtk")
 
-    def test_writer_for_another_mesh_rejected(self, tmp_path):
-        # an equal mesh built again is another mesh: its writer keeps the
-        # text of the mesh it was built for
-        mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        writer = output.SnapshotWriter(
-            build_structured_mesh("mesh2", 1, (0, 1, 0, 1)))
-        with pytest.raises(ValueError, match="another mesh"):
-            write_vtk_snapshot(mesh, np.zeros(4), np.zeros(5),
-                               tmp_path / "x.vtk", writer=writer)
-        assert not (tmp_path / "x.vtk").exists()
+    def test_alternating_meshes_match_the_oracle(self, rng, tmp_path):
+        # the kept mesh text is replaced at each change of mesh: an equal
+        # mesh built again is another mesh, and so is a different one
+        first = build_structured_mesh("mesh2", 2)
+        meshes = [first, first, build_structured_mesh("mesh2", 2),
+                  build_structured_mesh("mesh1", 4), first]
+        output._mesh_text.cache_clear()
+        for i, mesh in enumerate(meshes):
+            u = rng.standard_normal(mesh.n_cells)
+            v = rng.standard_normal(mesh.n_vertices)
+            write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk",
+                               title="t=%d" % i)
+            oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=%d" % i)
+            assert (tmp_path / "got.vtk").read_bytes() == (
+                tmp_path / "want.vtk").read_bytes(), i
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (1, 4)
 
     def test_every_line_break_in_the_title_becomes_a_space(self, tmp_path):
         mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
@@ -205,21 +212,15 @@ class TestVtk:
                   if len(("a%sb" % c).splitlines()) == 2}
         assert set(map(chr, output._TITLE_BREAKS)) == breaks
 
-    @pytest.mark.parametrize("inline", [True, False])
-    def test_title_over_255_bytes_rejected(self, monkeypatch, tmp_path,
-                                           inline):
+    def test_title_over_255_bytes_rejected(self, tmp_path):
         # the legacy header line holds 256 bytes with its newline
         mesh = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
-        monkeypatch.setattr(output, "WRITER_MIN_CELLS", 5 if inline else 1)
-        with output.SnapshotWriter(mesh) as writer:
-            write_vtk_snapshot(mesh, np.ones(4), np.ones(5),
-                               tmp_path / "ok.vtk", title="t" * 255,
-                               writer=writer)
-            for title in ("t" * 400, "\u00e9" * 128):
-                with pytest.raises(ValueError, match="255 bytes"):
-                    write_vtk_snapshot(mesh, np.ones(4), np.ones(5),
-                                       tmp_path / "x.vtk", title=title,
-                                       writer=writer)
+        write_vtk_snapshot(mesh, np.ones(4), np.ones(5), tmp_path / "ok.vtk",
+                           title="t" * 255)
+        for title in ("t" * 400, "\u00e9" * 128):
+            with pytest.raises(ValueError, match="255 bytes"):
+                write_vtk_snapshot(mesh, np.ones(4), np.ones(5),
+                                   tmp_path / "x.vtk", title=title)
         assert not (tmp_path / "x.vtk").exists()
         assert parse_vtk(tmp_path / "ok.vtk")["cell_types"] == [5] * 4
 
@@ -294,24 +295,19 @@ def extreme_field(n, rng):
     return values
 
 
-def assert_matches_oracles(mesh, rng, tmp_path, monkeypatch):
+def assert_matches_oracles(mesh, rng, tmp_path):
+    # formatted afresh, at the chunk size in force, then reused twice
+    output._mesh_text.cache_clear()
     u = extreme_field(mesh.n_cells, rng)
     v = extreme_field(mesh.n_vertices, rng)
-    write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title="t=1e-05")
-    oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title="t=1e-05")
-    assert (tmp_path / "got.vtk").read_bytes() == (
-        tmp_path / "want.vtk").read_bytes()
-    # two snapshots through one inline writer, the second reusing the
-    # mesh text the first formatted
-    monkeypatch.setattr(output, "WRITER_MIN_CELLS", mesh.n_cells + 1)
-    writer = output.SnapshotWriter(mesh)
-    for title in ("t=1e-05", "t=2e-05"):
-        u, v = u[::-1].copy(), v[::-1].copy()
-        write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title=title,
-                           writer=writer)
+    for title in ("t=1e-05", "t=1e-05", "t=2e-05"):
+        write_vtk_snapshot(mesh, u, v, tmp_path / "got.vtk", title=title)
         oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title=title)
         assert (tmp_path / "got.vtk").read_bytes() == (
             tmp_path / "want.vtk").read_bytes()
+        u, v = u[::-1].copy(), v[::-1].copy()
+    info = output._mesh_text.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
     dump_mesh(mesh, tmp_path / "got.txt")
     oracle_dump(mesh, tmp_path / "want.txt")
     assert (tmp_path / "got.txt").read_bytes() == (
@@ -331,19 +327,17 @@ class TestBlockWriters:
         # than a chunk
         monkeypatch.setattr(output, "CHUNK_ROWS",
                             getattr(mesh, section) - offset)
-        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
+        assert_matches_oracles(mesh, rng, tmp_path)
 
-    def test_bytes_equal_oracle_at_default_chunk_size(self, monkeypatch, rng,
-                                                      tmp_path):
+    def test_bytes_equal_oracle_at_default_chunk_size(self, rng, tmp_path):
         mesh = build_structured_mesh("mesh2", 32)
         assert mesh.n_cells == output.CHUNK_ROWS
-        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
+        assert_matches_oracles(mesh, rng, tmp_path)
 
-    def test_single_triangle_has_an_empty_edge_block(self, monkeypatch, rng,
-                                                     tmp_path):
+    def test_single_triangle_has_an_empty_edge_block(self, rng, tmp_path):
         mesh = TriMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
         assert mesh.n_interior_edges == 0
-        assert_matches_oracles(mesh, rng, tmp_path, monkeypatch)
+        assert_matches_oracles(mesh, rng, tmp_path)
         text = (tmp_path / "got.txt").read_text().splitlines()
         assert text[text.index("interior_edges 0") + 1] == "boundary_edges 3"
 
@@ -476,18 +470,17 @@ class TestRunSnapshots:
                           "preset = one_bulge\n[params]\nt_end = 2e-6\n"
                           "[output]\nvtk_dir = %s\nsnapshot_times = "
                           "0 1e-6 2e-6\n" % vtk_dir)
-        formats, inputs = [], []
-        mesh_text, write = output._mesh_text, output.write_vtk_snapshot
-        monkeypatch.setattr(output, "_mesh_text",
-                            lambda mesh: (formats.append(1),
-                                          mesh_text(mesh))[1])
+        inputs = []
+        write = output.write_vtk_snapshot
         monkeypatch.setattr(
             output, "write_vtk_snapshot",
             lambda mesh, u, v, path, **kw: (
                 inputs.append((path, u.copy(), v.copy(), kw["title"])),
                 write(mesh, u, v, path, **kw))[1])
+        output._mesh_text.cache_clear()
         mesh = simulation.run(cfg).mesh
-        assert len(formats) == 1
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
         assert len(inputs) == 3
         for path, u, v, title in inputs:
             oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title=title)

@@ -405,3 +405,47 @@ class TestRun:
         with pytest.raises(OSError):
             simulation.run(cfg)
         assert calls == []
+
+    @staticmethod
+    def snapshot_config(out):
+        # a CSV and a snapshot at each of the steps 0 to 3 in ``out``
+        return one_bulge_config("csv = %s\nvtk_dir = %s\nsnapshot_times = "
+                                "0 1e-6 2e-6 3e-6\n"
+                                % (out / "diag.csv", out / "vtk"))
+
+    def test_unwritable_snapshot_fails_at_its_own_step(self, tmp_path):
+        os.makedirs(tmp_path / "vtk" / "snap_000001.vtk")
+        with pytest.raises(IsADirectoryError, match="snap_000001.vtk"):
+            simulation.run(self.snapshot_config(tmp_path))
+        steps = [r.step for r in read_diagnostics_csv(tmp_path / "diag.csv")]
+        assert steps == [0, 1]
+
+    def test_step_failure_keeps_the_written_snapshots(self, tmp_path,
+                                                      monkeypatch):
+        simulation.run(self.snapshot_config(tmp_path / "clean"))
+        calls = []
+        solve = simulation.solve_u_step
+
+        def fail_at_step_2(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ustep.UStepError("injected failure")
+            return solve(*args)
+
+        monkeypatch.setattr(simulation, "solve_u_step", fail_at_step_2)
+        out = tmp_path / "failed"
+        with pytest.raises(StepFailureError) as info:
+            simulation.run(self.snapshot_config(out))
+        assert info.value.step == 2
+        names = ["snap_000000.vtk", "snap_000001.vtk"]
+        assert sorted(os.listdir(out / "vtk")) == names
+        for name in names:
+            assert (out / "vtk" / name).read_bytes() == (
+                tmp_path / "clean" / "vtk" / name).read_bytes(), name
+        steps = [r.step for r in read_diagnostics_csv(out / "diag.csv")]
+        assert steps == [0, 1]
+
+    def test_no_due_snapshot_writes_no_file(self, tmp_path):
+        simulation.run(one_bulge_config("vtk_dir = %s\nsnapshot_times =\n"
+                                        % (tmp_path / "vtk")))
+        assert os.listdir(tmp_path / "vtk") == []

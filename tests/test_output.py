@@ -224,6 +224,27 @@ class TestVtk:
         assert not (tmp_path / "x.vtk").exists()
         assert parse_vtk(tmp_path / "ok.vtk")["cell_types"] == [5] * 4
 
+    def test_rejected_snapshot_keeps_the_kept_mesh_text(self, tmp_path):
+        # a title or field is checked before any mesh text is formatted,
+        # so a rejected snapshot of another mesh leaves the last one kept
+        kept = build_structured_mesh("mesh2", 1, (0, 1, 0, 1))
+        other = build_structured_mesh("mesh1", 2)
+        output._mesh_text.cache_clear()
+        write_vtk_snapshot(kept, np.ones(4), np.ones(5), tmp_path / "a.vtk")
+        with pytest.raises(ValueError, match="255 bytes"):
+            write_vtk_snapshot(other, np.ones(other.n_cells),
+                               np.ones(other.n_vertices), tmp_path / "x.vtk",
+                               title="t" * 256)
+        with pytest.raises(ValueError, match="shape"):
+            write_vtk_snapshot(other, np.ones(4), np.ones(other.n_vertices),
+                               tmp_path / "x.vtk")
+        write_vtk_snapshot(kept, np.ones(4), np.ones(5), tmp_path / "b.vtk")
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert not (tmp_path / "x.vtk").exists()
+        assert (tmp_path / "a.vtk").read_bytes() == (
+            tmp_path / "b.vtk").read_bytes()
+
 
 # -- oracles: the per-line writers the block writers replaced --
 
@@ -486,6 +507,41 @@ class TestRunSnapshots:
             oracle_vtk(mesh, u, v, tmp_path / "want.vtk", title=title)
             assert open(path, "rb").read() == (
                 tmp_path / "want.vtk").read_bytes()
+
+    @staticmethod
+    def config(tmp_path, output_lines):
+        return load_config("[mesh]\npattern = mesh1\nn = 4\n[initial]\n"
+                           "preset = one_bulge\n[params]\nt_end = 3e-6\n"
+                           "[output]\n" + output_lines % tmp_path)
+
+    def test_no_due_snapshot_formats_no_mesh_text(self, tmp_path):
+        output._mesh_text.cache_clear()
+        simulation.run(self.config(tmp_path, "vtk_dir = %s/vtk\n"
+                                             "snapshot_times =\n"))
+        simulation.run(self.config(tmp_path, "csv = %s/diag.csv\n"))
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+        assert sorted(os.listdir(tmp_path)) == ["diag.csv", "vtk"]
+        assert os.listdir(tmp_path / "vtk") == []
+
+    def test_each_run_formats_its_own_mesh_text(self, tmp_path):
+        # every run builds its mesh afresh, so a second run of one config
+        # formats the text again and writes the same bytes
+        cfg = self.config(tmp_path, "vtk_dir = %s/vtk\n"
+                                    "snapshot_times = 0 1e-6 3e-6\n")
+        names = ["snap_000000.vtk", "snap_000001.vtk", "snap_000003.vtk"]
+        output._mesh_text.cache_clear()
+        simulation.run(cfg)
+        first = {name: (tmp_path / "vtk" / name).read_bytes()
+                 for name in names}
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        simulation.run(cfg)
+        info = output._mesh_text.cache_info()
+        assert (info.hits, info.misses) == (4, 2)
+        assert sorted(os.listdir(tmp_path / "vtk")) == names
+        for name in names:
+            assert (tmp_path / "vtk" / name).read_bytes() == first[name], name
 
 
 def run_demo(name, cwd, *argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -449,3 +450,59 @@ class TestRun:
         simulation.run(one_bulge_config("vtk_dir = %s\nsnapshot_times =\n"
                                         % (tmp_path / "vtk")))
         assert os.listdir(tmp_path / "vtk") == []
+
+    @staticmethod
+    def counted_solve(monkeypatch, step, action):
+        # run ``action`` in place of the density solve of ``step``; the
+        # list returned counts the solves reached
+        calls = []
+        solve = simulation.solve_u_step
+
+        def patched(*args):
+            calls.append(1)
+            if len(calls) == step:
+                return action(*args)
+            return solve(*args)
+
+        monkeypatch.setattr(simulation, "solve_u_step", patched)
+        return calls
+
+    def test_unwritable_first_snapshot_fails_before_the_first_step(
+            self, tmp_path, monkeypatch):
+        calls = self.counted_solve(monkeypatch, 0, None)
+        os.makedirs(tmp_path / "vtk" / "snap_000000.vtk")
+        with pytest.raises(IsADirectoryError, match="snap_000000.vtk"):
+            simulation.run(self.snapshot_config(tmp_path))
+        assert calls == []
+        steps = [r.step for r in read_diagnostics_csv(tmp_path / "diag.csv")]
+        assert steps == [0]
+
+    def test_snapshot_failure_stops_the_run_before_later_steps(
+            self, tmp_path, monkeypatch):
+        # step 2 would fail too, but the run ends at the snapshot of step 1
+        def fail(*args):
+            raise ustep.UStepError("injected failure")
+
+        calls = self.counted_solve(monkeypatch, 2, fail)
+        os.makedirs(tmp_path / "vtk" / "snap_000001.vtk")
+        with pytest.raises(IsADirectoryError, match="snap_000001.vtk"):
+            simulation.run(self.snapshot_config(tmp_path))
+        assert calls == [1]
+        steps = [r.step for r in read_diagnostics_csv(tmp_path / "diag.csv")]
+        assert steps == [0, 1]
+
+    def test_snapshot_directory_removed_mid_run_fails_at_that_step(
+            self, tmp_path, monkeypatch):
+        solve = simulation.solve_u_step
+
+        def remove_vtk_dir(*args):
+            shutil.rmtree(tmp_path / "vtk")
+            return solve(*args)
+
+        calls = self.counted_solve(monkeypatch, 2, remove_vtk_dir)
+        with pytest.raises(FileNotFoundError, match="snap_000002.vtk"):
+            simulation.run(self.snapshot_config(tmp_path))
+        assert calls == [1, 1]
+        assert not (tmp_path / "vtk").exists()
+        steps = [r.step for r in read_diagnostics_csv(tmp_path / "diag.csv")]
+        assert steps == [0, 1, 2]

@@ -28,19 +28,28 @@ The potential is pointwise in ``u``, so every Newton iterate sets
 the mesh, ``params``, the warm start below and the exact Jacobian, with
 the one-sided kink derivatives stated at ``NewtonOperator.refill``, as
 one matrix on the mesh's fixed cell-adjacency pattern.  Each Newton
-iteration overwrites its values in place and solves it by a direct
-Jacobi-BiCGSTAB loop with scipy's arithmetic, or by a sparse LU
-factorization when the Krylov solve misses its tolerance.
+iteration overwrites its values in place and solves it iteratively, or
+by a sparse LU factorization when the iterative solve misses its
+tolerance.  A Jacobi sweep ``x <- x + D^-1 (b - J x)`` multiplies the
+residual by ``(D - J) D^-1``.  ``J`` is an M-matrix whose columns sum to
+``|K|/dt``, so the 1-norm of that map is ``q = max_K (1 - (|K|/dt) /
+J_KK)`` (Varga, Matrix Iterative Analysis, 1962), which the diagonal
+gives.  Where ``q`` is at most ``vstep.JACOBI_RADIUS_MAX`` (a small
+``dt``), Jacobi sweeps solve it, one matrix product each.  Otherwise (q
+nears 1 as ``dt`` grows), or where ``q`` is NaN, a direct
+Jacobi-BiCGSTAB loop with scipy's arithmetic does, two per iteration.
 
-The Krylov solves are inexact Newton steps (Eisenstat & Walker, SIAM J.
-Sci. Comput. 17, 1996).  The first of a time step starts from the last
-accepted update ``u^n - u^(n-1)`` and stops at ``NEWTON_FIRST_RTOL``;
-the later ones, and all of a step with no accepted update before it,
-start from zero and run to ``NEWTON_LINEAR_RTOL``.  Mass stays exact:
-the columns of ``J`` sum to ``|K|/dt`` and the fluxes cancel in the sum
-of the rows, so the mass change of an iterate is ``dt`` times the sum of
-its nonlinear residual, which the stop test bounds whatever the accuracy
-of the directions.
+The iterative solves are inexact Newton steps (Eisenstat & Walker, SIAM
+J. Sci. Comput. 17, 1996).  The first of a time step starts from the
+last accepted update ``u^n - u^(n-1)`` and stops at
+``NEWTON_FIRST_RTOL``; the later ones, and all of a step with no
+accepted update before it, start from zero and run to
+``NEWTON_LINEAR_RTOL``.  Either path stops on the true residual,
+``|b - J x|_2 <= rtol |b|_2``.  Mass stays exact: the columns of ``J``
+sum to ``|K|/dt`` and the fluxes cancel in the sum of the rows, so the
+mass change of an iterate is ``dt`` times the sum of its nonlinear
+residual, which the stop test bounds whatever the accuracy of the
+directions.
 
 Newton stops when the max norm ``rnorm`` of the mass-balance rows is at
 round-off, ``rnorm <= 16 * machine_eps * scale``, with ``scale`` the
@@ -67,6 +76,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import _check_cellfield
+from .vstep import JACOBI_RADIUS_MAX
 
 _EPS = np.finfo(float).eps
 
@@ -78,16 +88,18 @@ CLAMP_REL = 1e-13
 #: Per-step relative mass drift allowed before the step is rejected.
 MASS_RTOL = 1e-11
 
-#: Relative true residual the Krylov solve of a Newton system must reach;
-#: a solve that misses it is repeated with a sparse LU factorization.
+#: Relative true residual the iterative solve of a Newton system must
+#: reach; a solve that misses it is repeated with a sparse LU
+#: factorization.
 NEWTON_LINEAR_RTOL = 1e-12
 
-#: Relative true residual of the first Krylov solve of each warm-started
+#: Relative true residual of the first linear solve of each warm-started
 #: step, the forcing term of an inexact Newton step (Eisenstat & Walker
 #: 1996).
 NEWTON_FIRST_RTOL = 1e-6
 
-#: Krylov iterations after which a Newton system goes to the LU solve.
+#: Jacobi sweeps or BiCGSTAB iterations, by the path of the solve, after
+#: which a Newton system goes to the LU solve.
 NEWTON_LINEAR_MAXITER = 1000
 
 #: Newton iterations after which a step that is not at round-off fails.
@@ -126,9 +138,10 @@ class NewtonStats:
     iterations: int
     residual: float
     clamp: float = 0.0
-    #: BiCGSTAB iterations summed over the Newton iterations
+    #: Jacobi sweeps or BiCGSTAB iterations, by the path of each solve,
+    #: summed over the Newton iterations
     linear_iterations: int = 0
-    #: Newton systems solved by LU after the Krylov solve missed
+    #: Newton systems solved by LU after the iterative solve missed
     lu_fallbacks: int = 0
     #: ``aupw_apply(mu, pos_part(u), mu)`` of the result (energy law)
     dissipation: float = 0.0
@@ -187,7 +200,7 @@ class NewtonOperator:
                                     pattern.indices, pattern.indptr),
                                    shape=(nc, nc))
         #: ``u^n - u^(n-1)`` of the last accepted step, the start of the
-        #: next step's first Krylov solve
+        #: next step's first linear solve
         self.last_update = None
 
     def mass_balance(self, u, mu, u_old):
@@ -273,18 +286,21 @@ class NewtonOperator:
         return diagonal
 
     def direction(self, u, mu, r1, terms, x0=None, rtol=NEWTON_LINEAR_RTOL):
-        """Newton step ``J du = -r1`` at ``u``, ``mu(u)`` by Jacobi-
-        preconditioned BiCGSTAB from ``x0``, or by a sparse LU
-        factorization when the Krylov solve misses ``rtol`` on the true
-        residual.
+        """Newton step ``J du = -r1`` at ``u``, ``mu(u)`` from ``x0``, to
+        ``rtol`` on the true residual: by Jacobi sweeps where their
+        1-norm contraction ``q`` (module docstring) is at most
+        ``JACOBI_RADIUS_MAX``, by Jacobi-preconditioned BiCGSTAB otherwise,
+        and by a sparse LU factorization when either misses ``rtol``.
 
-        Returns ``(du, krylov_iterations, lu_fallback)``.
+        Returns ``(du, linear_iterations, lu_fallback)``, the iterations
+        counted in sweeps or in BiCGSTAB iterations by the path taken.
         """
         diagonal, rhs = self.refill(u, terms), -r1
         du, iterations = None, 0
         if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
-            du, iterations = _krylov_solve(self.schur, rhs, diagonal, x0,
-                                           rtol)
+            q = 1.0 - np.min(self.mesh.areas / diagonal) / self.params.dt
+            solve = _jacobi_solve if q <= JACOBI_RADIUS_MAX else _krylov_solve
+            du, iterations = solve(self.schur, rhs, diagonal, x0, rtol)
         fallback = du is None
         if fallback:
             try:
@@ -294,6 +310,27 @@ class NewtonOperator:
                                             "singular: %s" % exc,
                                             u=u, mu=mu) from exc
         return du, iterations, fallback
+
+
+def _jacobi_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
+    """Jacobi sweeps ``x <- x + (rhs - schur @ x) / diagonal`` from ``x0``
+    (zero when None); ``(x, sweeps)``, with ``x`` None unless the true
+    residual meets ``rtol * |rhs|`` within ``NEWTON_LINEAR_MAXITER``
+    sweeps.  The first sweep from zero is ``rhs / diagonal``."""
+    bnorm = np.sqrt(np.dot(rhs, rhs))
+    if bnorm == 0.0:
+        return rhs, 0
+    atol, inverse = rtol * bnorm, 1.0 / diagonal
+    if x0 is None:
+        x, r = np.zeros_like(rhs), rhs
+    else:
+        x, r = x0.copy(), rhs - schur @ x0
+    for sweep in range(1, NEWTON_LINEAR_MAXITER + 1):
+        x += inverse * r
+        r = rhs - schur @ x
+        if np.sqrt(np.dot(r, r)) <= atol:
+            return x, sweep
+    return None, NEWTON_LINEAR_MAXITER
 
 
 def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
@@ -348,7 +385,7 @@ def solve_u_step(operator, u_old, pi0v):
     ----------
     operator : NewtonOperator
         The run's, with its mesh, ``params`` and the last accepted update
-        ``u_new - u_old``, the start of the next first Krylov solve.
+        ``u_new - u_old``, the start of the next first linear solve.
     u_old : (nc,) array, nonnegative
     pi0v : (nc,) array
         Cell averages of the chemoattractant field already advanced to
@@ -410,13 +447,13 @@ def solve_u_step(operator, u_old, pi0v):
         # bulges, mesh2 n=32, dt = 1e-2 stalls in 30 iterations)
         warm = stats.iterations == 0 and op.last_update is not None
         try:
-            du, krylov, fallback = op.direction(
+            du, linear, fallback = op.direction(
                 u, mu, r1, terms, op.last_update if warm else None,
                 NEWTON_FIRST_RTOL if warm else NEWTON_LINEAR_RTOL)
         except NewtonDivergenceError as exc:    # singular LU factorization
             exc.stats = stats
             raise
-        stats.linear_iterations += krylov
+        stats.linear_iterations += linear
         stats.lu_fallbacks += fallback
         # the line search reads only u and mu of the iterate: free the rest
         r1 = terms = lg = None

@@ -44,7 +44,8 @@ def test_traced_repetition_runs_a_tiny_config(tmp_path):
     assert result["failed"] == 0, result
     assert result["layers"]["ustep.calls"] > 0
     assert result["layers"]["ustep.solve_s"] > 0.0
-    # the Krylov solve calls no scipy entry point; no LU fallback fires
+    # the iterative Newton solves (Jacobi sweeps on this q <= 1/2 run,
+    # BiCGSTAB above 1/2) call no scipy entry point; no LU fallback fires
     assert result["layers"]["ustep.factorizations"] == 0
     assert result["layers"]["mesh.build_s"] > 0.0
     assert result["layers"]["output.vtk_s"] > 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from ksdg import (ModelParams, NewtonDivergenceError, aupw_apply,
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
 from ksdg.ustep import NewtonOperator
+from ksdg.vstep import JACOBI_RADIUS_MAX
 from ksdg.fields import project_p1_to_p0
 
 from conftest import flip_edges
@@ -680,6 +682,23 @@ def newton_system(op, u, mu, r1, terms, *start):
     return op.schur, -r1, diagonal
 
 
+def jacobi_contraction(op, diagonal):
+    """``q``, the 1-norm of a Jacobi sweep's residual map ``(D - J) D^-1``:
+    the columns of ``J`` sum to ``|K|/dt``."""
+    return 1.0 - np.min(op.mesh.areas / diagonal) / op.params.dt
+
+
+class RecordedProducts:
+    """A matrix that keeps a copy of every vector it multiplies."""
+
+    def __init__(self, matrix):
+        self.matrix, self.vectors = matrix, []
+
+    def __matmul__(self, x):
+        self.vectors.append(x.copy())
+        return self.matrix @ x
+
+
 def max_rel_diff(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
@@ -711,7 +730,8 @@ class TestNewtonLinearSolve:
             assert np.array_equal(diagonal, op.schur.diagonal())
 
     def test_krylov_direction_matches_lu_on_run_systems(self, monkeypatch):
-        # at the default start and tolerance: from zero to 1e-12
+        # at the default start and tolerance: from zero to 1e-12, by Jacobi
+        # sweeps on these q <= 1/2 systems
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         for args in systems:
@@ -728,15 +748,27 @@ class TestNewtonLinearSolve:
             assert s.lu_fallbacks == 0
             assert s.linear_iterations >= s.iterations > 0
 
-    def test_krylov_failure_falls_back_to_lu(self, monkeypatch):
+    @pytest.mark.parametrize("solver,dt", [("_jacobi_solve", None),
+                                           ("_krylov_solve", 1e-2)])
+    def test_krylov_failure_falls_back_to_lu(self, monkeypatch, solver, dt):
+        # the default dt solves by Jacobi sweeps and dt = 1e-2 (q > 1/2) by
+        # BiCGSTAB; whichever runs misses, and LU solves every system
         mesh, params, u0, v0 = one_bulge_setup()
+        if dt is not None:
+            params = dataclasses.replace(params, dt=dt, t_end=dt)
         with monkeypatch.context() as m:
             m.setattr(NewtonOperator, "direction", lu_direction)
             u_ref, _, ref_stats = u_step(mesh, u0, v0, params)
-        monkeypatch.setattr(ustep, "_krylov_solve", lambda *args: (None, 1))
+        misses = []
+
+        def miss(*args):
+            misses.append(args)
+            return None, 1
+
+        monkeypatch.setattr(ustep, solver, miss)
         u, _, stats = u_step(mesh, u0, v0, params)
         assert stats.lu_fallbacks == stats.iterations == ref_stats.iterations
-        assert stats.lu_fallbacks >= 1
+        assert stats.lu_fallbacks == len(misses) >= 1
         assert max_rel_diff(u, u_ref) <= 1e-12
 
     def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch):
@@ -835,12 +867,101 @@ class TestNewtonLinearSolve:
         assert stats.lu_fallbacks == stats.iterations >= 1
 
     def test_solver_counts_at_seed_0(self, monkeypatch):
-        # Newton iterations, Krylov iterations and LU fallbacks of the
-        # five steps, pinned; the bench configs' totals are in CHANGES.md
+        # Newton iterations, linear iterations and LU fallbacks of the five
+        # steps, pinned; every system of this run has q <= 1/2, so the
+        # linear iterations are Jacobi sweeps.  The bench configs' totals
+        # are in CHANGES.md
         _, stats = run_one_bulge(monkeypatch)
         assert (sum(s.iterations for s in stats),
                 sum(s.linear_iterations for s in stats),
-                sum(s.lu_fallbacks for s in stats)) == (10, 38, 0)
+                sum(s.lu_fallbacks for s in stats)) == (10, 64, 0)
+
+    def test_jacobi_sweep_contracts_the_residual_by_q(self, monkeypatch):
+        # a sweep maps the residual by (D - J) D^-1, whose 1-norm is q.  The
+        # residuals are computed ones: b - J x (at most four terms a row)
+        # and the sweep round within the slack 16 eps (|b| + |J| (|x_k| +
+        # |x_(k-1)|)) in the 1-norm
+        systems, _ = run_one_bulge(monkeypatch)
+        checked = 0
+        for args in systems:
+            schur, rhs, diagonal = newton_system(*args)
+            q = jacobi_contraction(args[0], diagonal)
+            assert 0.0 < q <= JACOBI_RADIUS_MAX
+            for x0, rtol in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL)):
+                products = RecordedProducts(schur)
+                x, sweeps = ustep._jacobi_solve(products, rhs, diagonal, x0,
+                                                rtol)
+                iterates = ([np.zeros_like(rhs)] if x0 is None else []
+                            ) + products.vectors
+                assert x is not None and sweeps == len(iterates) - 1
+                assert np.array_equal(iterates[-1], x)
+                norms = [np.sum(np.abs(rhs - schur @ xk)) for xk in iterates]
+                for k in range(1, len(iterates)):
+                    slack = 16 * ustep._EPS * np.sum(
+                        np.abs(rhs) + abs(schur) @ (np.abs(iterates[k])
+                                                    + np.abs(iterates[k - 1])))
+                    assert norms[k] <= q * norms[k - 1] + slack
+                    checked += norms[k] > slack
+        assert checked > len(systems)
+
+    def test_jacobi_solve_ends_within_the_contraction_bound(self,
+                                                          monkeypatch):
+        # from zero |r_k|_2 <= |r_k|_1 <= q^k |b|_1 <= q^k sqrt(n) |b|_2, so
+        # ceil(log(rtol / sqrt(n)) / log q) sweeps meet rtol; one more
+        # covers the rounding
+        systems, _ = run_one_bulge(monkeypatch)
+        for args in systems:
+            schur, rhs, diagonal = newton_system(*args)
+            q = jacobi_contraction(args[0], diagonal)
+            for rtol in (ustep.NEWTON_FIRST_RTOL, ustep.NEWTON_LINEAR_RTOL):
+                x, sweeps = ustep._jacobi_solve(schur, rhs, diagonal, None,
+                                                rtol)
+                bound = math.ceil(math.log(rtol / math.sqrt(len(rhs)))
+                                  / math.log(q)) + 1
+                assert x is not None and 0 < sweeps <= bound
+        # a zero rhs returns zero at once, also from a nonzero start
+        zero = np.zeros_like(rhs)
+        x, sweeps = ustep._jacobi_solve(schur, zero, diagonal, rhs)
+        assert sweeps == 0 and np.array_equal(x, zero)
+
+    def test_large_dt_systems_take_bicgstab(self, monkeypatch):
+        # at dt = 1e-2 the mass term is small against the fluxes and q is
+        # near 1, too slow a contraction for sweeps: every Newton system
+        # is solved by BiCGSTAB, bit for bit as a direct call, or by LU
+        # where that call misses
+        mesh, params, u0, v0 = one_bulge_setup()
+        params = dataclasses.replace(params, dt=1e-2, t_end=1e-2)
+        direction, solves = NewtonOperator.direction, []
+
+        def check(op, u, mu, r1, terms, x0, rtol):
+            out = direction(op, u, mu, r1, terms, x0, rtol)
+            diagonal = op.schur.diagonal()
+            solves.append((jacobi_contraction(op, diagonal), out,
+                           ustep._krylov_solve(op.schur, -r1, diagonal, x0,
+                                               rtol)))
+            return out
+
+        monkeypatch.setattr(NewtonOperator, "direction", check)
+        monkeypatch.setattr(ustep, "_jacobi_solve", None)
+        u_step(mesh, u0, v0, params)
+        assert any(ref is not None for *_, (ref, _) in solves)
+        for q, (du, iterations, fallback), (ref, ref_iterations) in solves:
+            assert q > JACOBI_RADIUS_MAX and iterations == ref_iterations
+            assert fallback == (ref is None)
+            assert fallback or np.array_equal(du, ref)
+
+    def test_nan_contraction_takes_bicgstab(self, monkeypatch):
+        # a NaN q bounds nothing: BiCGSTAB solves, as above 1/2
+        systems, _ = run_one_bulge(monkeypatch)
+        op, u, mu, r1, terms, *_ = systems[0]
+        schur, rhs, diagonal = newton_system(*systems[0])
+        monkeypatch.setattr(op, "refill", lambda *args: diagonal)
+        monkeypatch.setattr(op, "params", types.SimpleNamespace(dt=np.nan))
+        monkeypatch.setattr(ustep, "_jacobi_solve", None)
+        du, iterations, fallback = op.direction(u, mu, r1, terms)
+        ref, ref_iterations = ustep._krylov_solve(schur, rhs, diagonal)
+        assert not fallback and iterations == ref_iterations > 0
+        assert np.array_equal(du, ref)
 
     def test_one_sparse_matrix_per_run(self, monkeypatch):
         # the Newton matrix is refilled in place: one construction for

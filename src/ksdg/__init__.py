@@ -16,8 +16,9 @@ from .fields import (ModelParams, integrate_cellfield, p1_square_integral,
                      pos_part, project_p0_to_p1_lumped, project_p1_to_p0)
 from .vstep import (LinearSolveError, VStepSystem, assemble_v_system,
                     solve_v_step)
-from .ustep import (MassDriftError, NewtonDivergenceError, NewtonStats,
-                    PositivityError, UStepError, aupw_apply, solve_u_step)
+from .ustep import (MassDriftError, NewtonDivergenceError, NewtonOperator,
+                    NewtonStats, PositivityError, UStepError, aupw_apply,
+                    solve_u_step)
 from .simulation import (DiagnosticsRow, EnergyLawError, RunResult,
                          SimState, StepFailureError, energy, energy_eps,
                          energy_law_lhs, run, simulate)
@@ -35,8 +36,9 @@ __all__ = [
     "ModelParams", "integrate_cellfield", "p1_square_integral", "pos_part",
     "project_p0_to_p1_lumped", "project_p1_to_p0",
     "LinearSolveError", "VStepSystem", "assemble_v_system", "solve_v_step",
-    "MassDriftError", "NewtonDivergenceError", "NewtonStats",
-    "PositivityError", "UStepError", "aupw_apply", "solve_u_step",
+    "MassDriftError", "NewtonDivergenceError", "NewtonOperator",
+    "NewtonStats", "PositivityError", "UStepError", "aupw_apply",
+    "solve_u_step",
     "DiagnosticsRow", "EnergyLawError", "RunResult", "SimState",
     "StepFailureError",
     "energy", "energy_eps", "energy_law_lhs", "run", "simulate",

@@ -88,8 +88,6 @@ class TriMesh:
         functions, in the order of the triangle's vertices.
     h : float
         Mesh size (longest edge).
-    cell_pattern : CellPattern
-        CSR pattern of the cell adjacency, built on first use.
     stiffness : csr_matrix
         P1 stiffness matrix (constants in its kernel), built on first use.
 
@@ -229,15 +227,6 @@ class TriMesh:
         return len(self.bedge_cell)
 
     @property
-    def cell_pattern(self):
-        # rebuilt when edge_cells is replaced, as on a relabelled copy
-        if getattr(self, "_pattern_edges", None) is not self.edge_cells:
-            self._cell_pattern = _build_cell_pattern(self.n_cells,
-                                                     self.edge_cells)
-            self._pattern_edges = self.edge_cells
-        return self._cell_pattern
-
-    @property
     def stiffness(self):
         # rebuilt when triangles is replaced, as on a relabelled copy
         if getattr(self, "_stiffness_triangles", None) is not self.triangles:
@@ -258,46 +247,11 @@ def _freeze(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class CellPattern:
-    """CSR pattern of a cell-by-cell matrix coupling edge neighbours.
-
-    The stored entries are the diagonal and ``(K, L)``, ``(L, K)`` for
-    every interior edge, with sorted column indices in each row.
-    ``slots`` gives the position in the CSR data array of each entry, in
-    the order ``diagonal`` (nc), then ``(K, L)`` and ``(L, K)`` per edge
-    (ne each).  No two entries share a slot, so a matrix on the pattern
-    is filled by writing its values to their slots.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-
-
 def _index_dtype(n):
     """Index type for sparse matrices with indices and entry counts below
     ``n``: scipy takes int32 index arrays as they are, int64 ones it scans
     and copies."""
     return np.int32 if n < 2 ** 31 else np.int64
-
-
-def _build_cell_pattern(nc, edge_cells):
-    k, l = edge_cells[:, 0], edge_cells[:, 1]
-    cells = np.arange(nc)
-    rows = np.concatenate((cells, k, l))
-    cols = np.concatenate((cells, l, k))
-    # the keys are unique: two cells share at most one edge
-    order = np.argsort(rows * nc + cols, kind="stable")
-    slots = np.empty_like(order)
-    slots[order] = np.arange(len(order))
-    index = _index_dtype(len(order))
-    pattern = CellPattern(
-        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nc)))
-                              ).astype(index),
-        indices=cols[order].astype(index),
-        slots=slots)
-    return _freeze(pattern)
 
 
 def _assemble_stiffness(mesh):

@@ -6,9 +6,9 @@ rows of some arrays; ``_write_rows`` formats it in blocks of
 ``CHUNK_ROWS`` rows with numpy and writes the bytes ``%`` would write
 line by line.
 
-The CSV schema is fixed by one column table: the header is exactly
-``CSV_HEADER`` and every float is written with 17 significant digits, so
-reloading reproduces the floating-point values bit for bit.
+The CSV columns are the fields of ``DiagnosticsRow`` up to its clamps:
+the header is exactly ``CSV_HEADER`` and every float is written with 17
+significant digits, so reloading reproduces the values bit for bit.
 
 Snapshots use the legacy ASCII VTK unstructured-grid format so files can
 be opened by standard viewers and diffed as text.  Points are the mesh
@@ -27,6 +27,7 @@ boundary edge data with their normals, lengths and barycenter distances
 import functools
 import io
 import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,13 +40,31 @@ from .fields import (_check_cellfield, _check_nodefield,
 #: stays within its 1 MB spread from run to run (2-vCPU Xeon).
 CHUNK_ROWS = 4096
 
+
+@dataclass
+class DiagnosticsRow:
+    """Scalar diagnostics recorded at every step."""
+
+    step: int
+    time: float
+    mass: float
+    min_u: float
+    max_u: float
+    min_v: float
+    max_v: float
+    E: float
+    E_eps: float
+    energy_law_lhs: float
+    newton_iters: int
+    newton_residual: float
+    # round-off clamp magnitudes, not part of the CSV schema
+    u_clamp: float = 0.0
+    v_clamp: float = 0.0
+
+
 #: Diagnostics CSV columns in file order, with the type of each value.
-_CSV_COLUMNS = (
-    ("step", int), ("time", float), ("mass", float), ("min_u", float),
-    ("max_u", float), ("min_v", float), ("max_v", float), ("E", float),
-    ("E_eps", float), ("energy_law_lhs", float), ("newton_iters", int),
-    ("newton_residual", float),
-)
+_CSV_COLUMNS = tuple((f.name, f.type) for f in fields(DiagnosticsRow)
+                     if f.name not in ("u_clamp", "v_clamp"))
 
 CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
@@ -355,8 +374,6 @@ def write_diagnostics_csv(rows, path):
 
 def read_diagnostics_csv(path):
     """Read a diagnostics CSV back into ``DiagnosticsRow`` objects."""
-    from .simulation import DiagnosticsRow
-
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:

@@ -40,6 +40,7 @@ from . import output as _output
 from .fields import (ModelParams, _check_cellfield, _check_nodefield,
                      integrate_cellfield, p1_square_integral, pos_part,
                      project_p1_to_p0)
+from .output import DiagnosticsRow
 from .ustep import NewtonOperator, UStepError, aupw_apply, solve_u_step
 from .vstep import assemble_v_system, solve_v_step
 
@@ -78,27 +79,6 @@ class SimState:
     u: np.ndarray
     v: np.ndarray
     mu: np.ndarray
-
-
-@dataclass
-class DiagnosticsRow:
-    """Scalar diagnostics recorded at every step."""
-
-    step: int
-    time: float
-    mass: float
-    min_u: float
-    max_u: float
-    min_v: float
-    max_v: float
-    E: float
-    E_eps: float
-    energy_law_lhs: float
-    newton_iters: int
-    newton_residual: float
-    # round-off clamp magnitudes, not part of the CSV schema
-    u_clamp: float = 0.0
-    v_clamp: float = 0.0
 
 
 @dataclass

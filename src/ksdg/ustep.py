@@ -27,17 +27,18 @@ The potential is pointwise in ``u``, so every Newton iterate sets
 ``NewtonOperator`` per run holds its state, which ``solve_u_step`` reads:
 the mesh, ``params``, the warm start below and the exact Jacobian, with
 the one-sided kink derivatives stated at ``NewtonOperator.refill``, as
-one matrix on the mesh's fixed cell-adjacency pattern.  Each Newton
-iteration overwrites its values in place and solves it iteratively, or
-by a sparse LU factorization when the iterative solve misses its
-tolerance.  A Jacobi sweep ``x <- x + D^-1 (b - J x)`` multiplies the
-residual by ``(D - J) D^-1``.  ``J`` is an M-matrix whose columns sum to
-``|K|/dt``, so the 1-norm of that map is ``q = max_K (1 - (|K|/dt) /
-J_KK)`` (Varga, Matrix Iterative Analysis, 1962), which the diagonal
-gives.  Where ``q`` is at most ``vstep.JACOBI_RADIUS_MAX`` (a small
-``dt``), Jacobi sweeps solve it, one matrix product each.  Otherwise (q
-nears 1 as ``dt`` grows), or where ``q`` is NaN, a direct
-Jacobi-BiCGSTAB loop with scipy's arithmetic does, two per iteration.
+one matrix on the cell adjacency of the mesh's edges, which the
+operator builds.  Each Newton iteration overwrites its values in place
+and solves it iteratively, or by a sparse LU factorization when the
+iterative solve misses its tolerance.  A Jacobi sweep
+``x <- x + D^-1 (b - J x)`` multiplies the residual by ``(D - J) D^-1``.
+``J`` is an M-matrix whose columns sum to ``|K|/dt``, so the 1-norm of
+that map is ``q = max_K (1 - (|K|/dt) / J_KK)`` (Varga, Matrix Iterative
+Analysis, 1962), which the diagonal gives.  Where ``q`` is at most
+``vstep.JACOBI_RADIUS_MAX`` (a small ``dt``), Jacobi sweeps solve it,
+one matrix product each.  Otherwise (q nears 1 as ``dt`` grows), or
+where ``q`` is NaN, a direct Jacobi-BiCGSTAB loop with scipy's
+arithmetic does, two per iteration.
 
 The iterative solves are inexact Newton steps (Eisenstat & Walker, SIAM
 J. Sci. Comput. 17, 1996).  The first of a time step starts from the
@@ -48,7 +49,7 @@ accepted update before it, start from zero and run to
 ``|b - J x|_2 <= rtol |b|_2``.  Mass stays exact: the columns of ``J``
 sum to ``|K|/dt`` and the fluxes cancel in the sum of the rows, so the
 mass change of an iterate is ``dt`` times the sum of its nonlinear
-residual, which the stop test bounds whatever the accuracy of the
+residual, which the stop test below bounds whatever the accuracy of the
 directions.
 
 Newton stops when the max norm ``rnorm`` of the mass-balance rows is at
@@ -62,8 +63,10 @@ tolerance stops a step on small data before its mass balance is met.
 The exact scale costs a pass over the edges, so it is computed only when
 ``rnorm <= 32 * machine_eps * bound``, with ``bound`` the three-maxima
 bound ``NewtonOperator.roundoff_bound`` of the scale (the factor 2
-covers its rounding): above that its test cannot pass.  Each Newton
-step is halved until the residual decreases, at most
+covers its rounding): above that its test cannot pass.  The mass
+change must also be at most ``MASS_RTOL / 2`` of the old mass: after a
+loose first solve the max norm can pass on rows that sum to more.  Each
+Newton step is halved until the residual decreases, at most
 ``NEWTON_MAX_HALVINGS`` times, and the best trial with ``u + eps > 0``
 is taken; a step still above round-off after ``NEWTON_MAX_ITERS``
 iterations fails.
@@ -76,6 +79,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import _check_cellfield
+from .mesh import _index_dtype
 from .vstep import JACOBI_RADIUS_MAX
 
 _EPS = np.finfo(float).eps
@@ -182,22 +186,37 @@ def _flux_terms(k, l, w, u, mu):
 
 class NewtonOperator:
     """Newton data of the density step for one mesh and ``params``, with
-    one matrix ``schur`` on ``mesh.cell_pattern`` whose ``data`` each
-    Newton iteration overwrites in place: an operator serves one solve at
-    a time, and ``simulate`` builds one per run."""
+    one matrix ``schur`` whose ``data`` each Newton iteration overwrites
+    in place: an operator serves one solve at a time, and ``simulate``
+    builds one per run.  ``schur`` stores the diagonal and ``(K, L)``,
+    ``(L, K)`` of each interior edge, with sorted columns in each row;
+    ``diagonal``, ``kl`` and ``lk`` are their distinct slots in its
+    ``data``, in cell and in edge order."""
 
     def __init__(self, mesh, params):
         self.mesh, self.params = mesh, params
-        nc, pattern = mesh.n_cells, mesh.cell_pattern
+        nc, (k, l) = mesh.n_cells, mesh.edge_cells.T
+        cells = np.arange(nc)
+        rows = np.concatenate((cells, k, l))
+        cols = np.concatenate((cells, l, k))
+        # the keys are unique: two cells share at most one edge
+        order = np.argsort(rows * nc + cols, kind="stable")
+        slots = np.empty_like(order)
+        slots[order] = np.arange(len(order))
+        index = _index_dtype(len(order))
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=nc)))).astype(index)
+        indices = cols[order].astype(index)
+        del cells, rows, cols, order    # freed before the arrays below: RSS
+        for array in (slots, indptr, indices):
+            array.flags.writeable = False
         self.k, self.l = mesh.edge_cells.T.copy()
         self.w = mesh.edge_weights
         # the maxima of roundoff_bound, fixed by the mesh
         self.area_max = float(np.max(mesh.areas))
         self.w_max = float(np.max(self.w, initial=0.0))
-        self.diagonal, self.kl, self.lk = np.split(
-            pattern.slots, [nc, nc + mesh.n_interior_edges])
-        self.schur = sp.csr_matrix((np.zeros(len(pattern.indices)),
-                                    pattern.indices, pattern.indptr),
+        self.diagonal, self.kl, self.lk = np.split(slots, [nc, nc + len(k)])
+        self.schur = sp.csr_matrix((np.zeros(len(slots)), indices, indptr),
                                    shape=(nc, nc))
         #: ``u^n - u^(n-1)`` of the last accepted step, the start of the
         #: next step's first linear solve
@@ -296,11 +315,9 @@ class NewtonOperator:
         counted in sweeps or in BiCGSTAB iterations by the path taken.
         """
         diagonal, rhs = self.refill(u, terms), -r1
-        du, iterations = None, 0
-        if np.all(diagonal != 0.0):      # Jacobi needs a nonzero diagonal
-            q = 1.0 - np.min(self.mesh.areas / diagonal) / self.params.dt
-            solve = _jacobi_solve if q <= JACOBI_RADIUS_MAX else _krylov_solve
-            du, iterations = solve(self.schur, rhs, diagonal, x0, rtol)
+        q = 1.0 - np.min(self.mesh.areas / diagonal) / self.params.dt
+        solve = _jacobi_solve if q <= JACOBI_RADIUS_MAX else _krylov_solve
+        du, iterations = solve(self.schur, rhs, diagonal, x0, rtol)
         fallback = du is None
         if fallback:
             try:
@@ -426,6 +443,7 @@ def solve_u_step(operator, u_old, pi0v):
     # Initial guess: keep the density.
     rnorm, u, mu, r1, terms, lg = trial(u_old.copy())
     old_max = float(abs(u_old).max())
+    mass_old = float(np.dot(mesh.areas, u_old))
     stats = NewtonStats(0, rnorm)
     while True:
         if not np.isfinite(rnorm):
@@ -435,7 +453,8 @@ def solve_u_step(operator, u_old, pi0v):
         # the exact scale only runs where it can stop Newton: the factor 2
         # covers the rounding of the bound
         if (rnorm <= 32.0 * _EPS * op.roundoff_bound(u, old_max, mu)
-                and rnorm <= 16.0 * _EPS * op.roundoff_scale(u, u_old, terms)):
+                and rnorm <= 16.0 * _EPS * op.roundoff_scale(u, u_old, terms)
+                and params.dt * abs(r1.sum()) <= 0.5 * MASS_RTOL * mass_old):
             break
         if stats.iterations >= NEWTON_MAX_ITERS:
             raise NewtonDivergenceError(
@@ -491,7 +510,6 @@ def solve_u_step(operator, u_old, pi0v):
         u = np.where(clamped, 0.0, u)
         lg[clamped] = np.log(u[clamped] + params.eps)
 
-    mass_old = float(np.dot(mesh.areas, u_old))
     mass_new = float(np.dot(mesh.areas, u))
     if abs(mass_new - mass_old) > MASS_RTOL * max(abs(mass_old), 1e-300):
         raise MassDriftError(

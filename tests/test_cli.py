@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 import ksdg
@@ -12,6 +13,19 @@ def test_star_import_resolves_every_public_name():
     exec("from ksdg import *", namespace)
     for name in ksdg.__all__:
         assert namespace[name] is getattr(ksdg, name)
+
+
+def test_density_step_from_the_package_namespace():
+    # solve_u_step takes an operator, exported beside it
+    mesh = ksdg.build_structured_mesh("mesh1", 4)
+    params = ksdg.ModelParams(dt=1e-4, t_end=1e-4)
+    u0, v0 = ksdg.preset_initial_conditions("one_bulge", mesh)
+    pi0v = ksdg.project_p1_to_p0(mesh, v0)
+    u, _, stats = ksdg.solve_u_step(ksdg.NewtonOperator(mesh, params), u0,
+                                    pi0v)
+    assert stats.iterations > 0 and np.min(u) >= 0.0
+    assert ksdg.integrate_cellfield(mesh, u) == pytest.approx(
+        ksdg.integrate_cellfield(mesh, u0), rel=ustep.MASS_RTOL)
 
 
 def test_presets_lists_three_names(capsys):

@@ -8,7 +8,6 @@ from ksdg import (MeshError, ModelParams, TriMesh, assemble_v_system,
                   build_structured_mesh, dump_mesh, pattern_edge_distance,
                   verify_hypotheses)
 
-from conftest import flip_edges
 
 CENTERED_SQUARE = (-0.5, 0.5, -0.5, 0.5)
 
@@ -218,35 +217,12 @@ class TestTriMesh:
 
     def test_arrays_are_read_only(self, unit_square_mesh1):
         mesh = unit_square_mesh1
-        pattern = mesh.cell_pattern
-        arrays = dict(vars(mesh), indptr=pattern.indptr,
-                      indices=pattern.indices, slots=pattern.slots)
-        arrays = {name: value for name, value in arrays.items()
+        arrays = {name: value for name, value in vars(mesh).items()
                   if isinstance(value, np.ndarray)}
-        assert {"edge_lengths", "edge_weights", "slots"} <= set(arrays)
+        assert {"edge_lengths", "edge_weights"} <= set(arrays)
         for name, value in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
-
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_cell_pattern_entries(self, unit_square_mesh2, rng, flip):
-        mesh = unit_square_mesh2
-        if flip:
-            # a copy relabelled after the original's pattern was built
-            assert mesh.cell_pattern is not None
-            mesh = flip_edges(mesh, rng.random(mesh.n_interior_edges) < 0.5)
-        p = mesh.cell_pattern
-        nc = mesh.n_cells
-        rows = np.repeat(np.arange(nc), np.diff(p.indptr))
-        for i in range(nc):
-            assert list(p.indices[p.indptr[i]:p.indptr[i + 1]]) == sorted(
-                {i} | {int(b) for a, b in mesh.edge_cells if a == i}
-                | {int(a) for a, b in mesh.edge_cells if b == i})
-        k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        cells = np.arange(nc)
-        assert np.array_equal(rows[p.slots], np.concatenate((cells, k, l)))
-        assert np.array_equal(p.indices[p.slots],
-                              np.concatenate((cells, l, k)))
 
 
 def stiffness_oracle(mesh):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -77,6 +78,12 @@ class TestCsv:
         assert CSV_HEADER == ("step,time,mass,min_u,max_u,min_v,max_v,E,"
                               "E_eps,energy_law_lhs,newton_iters,"
                               "newton_residual")
+
+    def test_columns_are_the_row_fields_without_the_clamps(self):
+        # one record defines the CSV, reachable from its old home too
+        assert simulation.DiagnosticsRow is output.DiagnosticsRow
+        names = [f.name for f in dataclasses.fields(output.DiagnosticsRow)]
+        assert names == CSV_HEADER.split(",") + ["u_clamp", "v_clamp"]
 
     def test_roundtrip_bit_exact(self, tmp_path):
         _, rows = small_run_rows()

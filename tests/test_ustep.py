@@ -269,6 +269,38 @@ class TestJacobian:
                 if (i, j) not in adjacent:
                     assert jac[i, j] == 0.0
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_pattern_entries(self, unit_square_mesh2, rng, flip):
+        # each row holds its cell and its edge neighbours in sorted
+        # columns, and the slots of the diagonal, (K, L) and (L, K) point
+        # at those entries in cell and in edge order
+        mesh, params = unit_square_mesh2, ModelParams()
+        if flip:
+            # a copy relabelled after an operator on the original was built
+            assert NewtonOperator(mesh, params).schur is not None
+            mesh = flip_edges(mesh, rng.random(mesh.n_interior_edges) < 0.5)
+        op = NewtonOperator(mesh, params)
+        indptr, indices = op.schur.indptr, op.schur.indices
+        nc = mesh.n_cells
+        rows = np.repeat(np.arange(nc), np.diff(indptr))
+        for i in range(nc):
+            assert list(indices[indptr[i]:indptr[i + 1]]) == sorted(
+                {i} | {int(b) for a, b in mesh.edge_cells if a == i}
+                | {int(a) for a, b in mesh.edge_cells if b == i})
+        k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        cells = np.arange(nc)
+        slots = np.concatenate((op.diagonal, op.kl, op.lk))
+        assert np.array_equal(rows[slots], np.concatenate((cells, k, l)))
+        assert np.array_equal(indices[slots], np.concatenate((cells, l, k)))
+
+    def test_pattern_arrays_are_read_only(self, unit_square_mesh1):
+        op = NewtonOperator(unit_square_mesh1, ModelParams())
+        arrays = dict(indptr=op.schur.indptr, indices=op.schur.indices,
+                      diagonal=op.diagonal, kl=op.kl, lk=op.lk)
+        for name, value in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
     def test_truncated_cell_has_zero_flux_derivative(self, two_cell_mesh):
         # a cell with negative density transports nothing, so flux
         # derivatives with respect to it vanish
@@ -501,6 +533,30 @@ class TestSolve:
         for (u, mu, row), (u_ref, mu_ref, row_ref) in zip(default, forced):
             assert np.array_equal(u, u_ref) and np.array_equal(mu, mu_ref)
             assert row == row_ref
+
+    def test_stop_test_waits_for_the_mass_balance(self, monkeypatch):
+        # the max-norm test is made to pass right after the loose
+        # warm-started first solve, whose rows sum to a mass change beyond
+        # MASS_RTOL: Newton iterates on instead of failing the mass check
+        mesh, params, u0, v0 = one_bulge_setup()
+        operator = NewtonOperator(mesh, params)
+        pi0v = project_p1_to_p0(mesh, v0)
+        u1, _, _ = solve_u_step(operator, u0, pi0v)
+        mass = np.dot(mesh.areas, u1)
+        drifts = []
+
+        def loose_bound(op, u, old_max, mu):
+            drifts.append(abs(np.dot(mesh.areas, u) - mass) / mass)
+            return 0.0 if len(drifts) == 1 else np.inf
+
+        monkeypatch.setattr(NewtonOperator, "roundoff_bound", loose_bound)
+        monkeypatch.setattr(NewtonOperator, "roundoff_scale",
+                            lambda *args: np.inf)
+        u2, _, stats = solve_u_step(operator, u1, pi0v)
+        assert drifts[1] > ustep.MASS_RTOL
+        assert stats.iterations == len(drifts) - 1 >= 2
+        assert drifts[-1] <= 0.5 * ustep.MASS_RTOL
+        assert abs(np.dot(mesh.areas, u2) - mass) <= ustep.MASS_RTOL * mass
 
     def test_nan_roundoff_scale_never_stops_newton(self, monkeypatch):
         # a NaN scale bounds nothing: the step runs out of iterations
@@ -943,7 +999,10 @@ class TestNewtonLinearSolve:
 
         monkeypatch.setattr(NewtonOperator, "direction", check)
         monkeypatch.setattr(ustep, "_jacobi_solve", None)
-        u_step(mesh, u0, v0, params)
+        _, _, stats = u_step(mesh, u0, v0, params)
+        # Newton iterations, BiCGSTAB iterations and LU fallbacks, pinned
+        assert (stats.iterations, stats.linear_iterations,
+                stats.lu_fallbacks) == (6, 243, 1)
         assert any(ref is not None for *_, (ref, _) in solves)
         for q, (du, iterations, fallback), (ref, ref_iterations) in solves:
             assert q > JACOBI_RADIUS_MAX and iterations == ref_iterations

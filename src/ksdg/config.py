@@ -23,7 +23,7 @@ constant interpolation); vertex fields sample at the vertices.
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class GaussianTerm:
         return self.amplitude * np.exp(
             -self.decay * ((x - self.x0) ** 2 + (y - self.y0) ** 2))
 
-    def format(self):
-        return "gaussian(%.17g, %.17g, %.17g, %.17g)" % (
-            self.amplitude, self.decay, self.x0, self.y0)
-
 
 @dataclass(frozen=True)
 class CosCosTerm:
@@ -69,9 +65,6 @@ class CosCosTerm:
     def __call__(self, x, y):
         k = self.frequency * np.pi
         return self.amplitude * (np.cos(k * x) * np.cos(k * y) + 1.0)
-
-    def format(self):
-        return "coscos(%.17g, %.17g)" % (self.amplitude, self.frequency)
 
 
 @dataclass(frozen=True)
@@ -83,13 +76,11 @@ class SinSinTerm:
         k = self.frequency * np.pi
         return self.amplitude * (np.sin(k * x) * np.sin(k * y) + 1.0)
 
-    def format(self):
-        return "sinsin(%.17g, %.17g)" % (self.amplitude, self.frequency)
 
-
-_TERM_KINDS = {"gaussian": (GaussianTerm, 4),
-               "coscos": (CosCosTerm, 2),
-               "sinsin": (SinSinTerm, 2)}
+_TERM_KINDS = {"gaussian": GaussianTerm,
+               "coscos": CosCosTerm,
+               "sinsin": SinSinTerm}
+_TERM_NAMES = {cls: name for name, cls in _TERM_KINDS.items()}
 
 _TERM_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^()]*)\)\s*$")
 
@@ -110,7 +101,8 @@ def parse_terms(text, line=None):
         if name not in _TERM_KINDS:
             raise ConfigError("unknown initial-condition term %r (expected "
                               "gaussian, coscos or sinsin)" % name, line)
-        cls, argc = _TERM_KINDS[name]
+        cls = _TERM_KINDS[name]
+        argc = len(fields(cls))
         args = [a for a in (t.strip() for t in argtext.split(",")) if a]
         if len(args) != argc:
             raise ConfigError("%s takes %d arguments, got %d"
@@ -120,6 +112,8 @@ def parse_terms(text, line=None):
         except ValueError:
             raise ConfigError("non-numeric argument in %r" % piece.strip(),
                               line) from None
+        if np.isnan(values).any():
+            raise ConfigError("NaN argument in %r" % piece.strip(), line)
         terms.append(cls(*values))
     return tuple(terms)
 
@@ -128,7 +122,8 @@ def format_terms(terms):
     """Text that ``parse_terms`` reads back as ``terms``."""
     if not terms:
         return "zero"
-    return " + ".join(t.format() for t in terms)
+    return " + ".join("%s(%s)" % (_TERM_NAMES[type(t)], ", ".join(
+        "%.17g" % value for value in astuple(t))) for t in terms)
 
 
 def evaluate_terms(terms, x, y):

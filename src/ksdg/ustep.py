@@ -37,8 +37,8 @@ that map is ``q = max_K (1 - (|K|/dt) / J_KK)`` (Varga, Matrix Iterative
 Analysis, 1962), which the diagonal gives.  Where ``q`` is at most
 ``vstep.JACOBI_RADIUS_MAX`` (a small ``dt``), Jacobi sweeps solve it,
 one matrix product each.  Otherwise (q nears 1 as ``dt`` grows), or
-where ``q`` is NaN, a direct Jacobi-BiCGSTAB loop with scipy's
-arithmetic does, two per iteration.
+where ``q`` is NaN, scipy's Jacobi-preconditioned BiCGSTAB does, two
+per iteration.
 
 The iterative solves are inexact Newton steps (Eisenstat & Walker, SIAM
 J. Sci. Comput. 17, 1996).  The first of a time step starts from the
@@ -351,48 +351,23 @@ def _jacobi_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
 
 
 def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
-    """Jacobi-preconditioned BiCGSTAB from ``x0`` (zero when None);
-    ``(x, iterations)``, with ``x`` None unless the true residual meets
-    ``rtol * |rhs|``.  The loop is ``scipy.sparse.linalg.bicgstab(x0=x0,
-    rtol=rtol, atol=0)`` operation for operation, without its dispatch, so
-    its iterates are scipy's bit for bit: the shadow residual is the
-    initial residual ``rhs - schur @ x0``, or ``rhs`` when ``x0`` is None
-    or all zero."""
-    bnorm = np.sqrt(np.dot(rhs, rhs))       # np.linalg.norm of a 1-D array
-    if bnorm == 0.0:
-        return rhs, 0
-    atol, inverse = rtol * bnorm, 1.0 / diagonal
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - schur @ x if x.any() else rhs.copy()
-    rtilde = p = r.copy()                   # rtilde is also the first p
-    for it in range(NEWTON_LINEAR_MAXITER):
-        if np.sqrt(np.dot(r, r)) < atol:
-            break
-        rho = np.dot(rtilde, r)
-        if abs(rho) < _EPS ** 2 or it > 0 and abs(omega) < _EPS ** 2:
-            return None, it                 # rho or omega breakdown
-        if it > 0:
-            p = (p - omega * v) * ((rho / rho_prev) * (alpha / omega)) + r
-        phat = inverse * p
-        v = schur @ phat
-        rv = np.dot(rtilde, v)
-        if rv == 0:
-            return None, it + 1
-        alpha = rho / rv
-        r -= alpha * v
-        x += alpha * phat
-        if np.sqrt(np.dot(r, r)) < atol:
-            it += 1
-            break
-        shat = inverse * r                  # scipy's s is a copy of r
-        t = schur @ shat
-        omega = np.dot(t, r) / np.dot(t, t)
-        x += omega * shat
-        r -= omega * t
-        rho_prev = rho
-    else:
-        return None, NEWTON_LINEAR_MAXITER
-    return (x if np.linalg.norm(rhs - schur @ x) <= atol else None), it
+    """``scipy.sparse.linalg.bicgstab`` from ``x0`` (zero when None),
+    preconditioned by ``1 / diagonal``; ``(x, iterations)``, with ``x``
+    None unless the true residual meets ``rtol * |rhs|``.  An iteration
+    applies the preconditioner twice, the last may stop after one."""
+    inverse, applied = 1.0 / diagonal, [0]
+
+    def precondition(r):
+        applied[0] += 1
+        return inverse * r
+
+    jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
+                                 dtype=float)
+    x, info = spla.bicgstab(schur, rhs, x0=x0, rtol=rtol, atol=0.0,
+                            maxiter=NEWTON_LINEAR_MAXITER, M=jacobi)
+    accepted = info == 0 and (np.linalg.norm(rhs - schur @ x)
+                              <= rtol * np.linalg.norm(rhs))
+    return (x if accepted else None), (applied[0] + 1) // 2
 
 
 def solve_u_step(operator, u_old, pi0v):

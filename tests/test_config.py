@@ -256,6 +256,23 @@ class TestTerms:
         with pytest.raises(ConfigError, match="non-numeric"):
             parse_terms("gaussian(1, 2, x, 0)")
 
+    @pytest.mark.parametrize("term", ["gaussian(nan, 1, 0, 0)",
+                                      "gaussian(1, 1, 0, -NaN)",
+                                      "coscos(1, nan)", "sinsin(NAN, 2)"])
+    def test_nan_argument_rejected_at_its_line(self, term):
+        # a NaN argument makes the field NaN everywhere
+        with pytest.raises(ConfigError) as info:
+            load_config("[initial]\npreset = one_bulge\nv0 = zero\n"
+                        "u0 = %s\n" % term)
+        assert info.value.line == 4
+        assert str(info.value) == "line 4: u0: NaN argument in %r" % term
+
+    def test_infinite_argument_accepted(self):
+        # a Gaussian centered at infinity is a zero term
+        terms = parse_terms("gaussian(1, 1, inf, 0)")
+        assert terms == (GaussianTerm(1.0, 1.0, np.inf, 0.0),)
+        assert evaluate_terms(terms, 0.25, -0.5) == 0.0
+
     def test_gibberish_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_terms("gaussian(1,2,3,4) + 7")

@@ -707,30 +707,6 @@ def lu_direction(op, u, mu, r1, terms, x0=None,
     return np.linalg.solve(schur, -r1), 0, True
 
 
-def scipy_krylov(schur, rhs, diagonal, x0=None,
-                 rtol=ustep.NEWTON_LINEAR_RTOL):
-    """``_krylov_solve`` through ``scipy.sparse.linalg.bicgstab``, the
-    reference the direct loop must repeat bit for bit."""
-    inverse = 1.0 / diagonal
-    applications = [0]
-
-    def precondition(x):
-        applications[0] += 1
-        return inverse * x
-
-    jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
-                                 dtype=float)
-    x, info = spla.bicgstab(schur, rhs, x0=x0, rtol=rtol, atol=0.0,
-                            maxiter=ustep.NEWTON_LINEAR_MAXITER, M=jacobi)
-    # each iteration applies the preconditioner twice; the last may stop
-    # after its first half
-    iterations = (applications[0] + 1) // 2
-    if info != 0 or not (np.linalg.norm(rhs - schur @ x)
-                         <= rtol * np.linalg.norm(rhs)):
-        return None, iterations
-    return x, iterations
-
-
 def newton_system(op, u, mu, r1, terms, *start):
     """Matrix, right-hand side and diagonal of a Newton direction; the
     start ``(x0, rtol)`` of a recorded direction is dropped."""
@@ -744,13 +720,14 @@ def jacobi_contraction(op, diagonal):
     return 1.0 - np.min(op.mesh.areas / diagonal) / op.params.dt
 
 
-class RecordedProducts:
+class RecordedProducts(spla.LinearOperator):
     """A matrix that keeps a copy of every vector it multiplies."""
 
     def __init__(self, matrix):
+        super().__init__(float, matrix.shape)
         self.matrix, self.vectors = matrix, []
 
-    def __matmul__(self, x):
+    def _matvec(self, x):
         self.vectors.append(x.copy())
         return self.matrix @ x
 
@@ -827,31 +804,43 @@ class TestNewtonLinearSolve:
         assert stats.lu_fallbacks == len(misses) >= 1
         assert max_rel_diff(u, u_ref) <= 1e-12
 
-    def test_krylov_loop_repeats_scipy_bicgstab(self, monkeypatch):
-        # from the recorded start, from zero, from an all-zero x0 and from
-        # another nonzero x0, at both tolerances; a full step's update as
-        # the start of a later Newton system can miss 1e-12 of its small
-        # rhs, and then scipy misses it in the same iteration
+    def test_krylov_iterations_count_matrix_products(self, monkeypatch):
+        # an iteration multiplies twice, the last once if it stops after
+        # its first half; a nonzero start adds its initial residual, and
+        # a solve that ends in its convergence test, as every one here,
+        # the true residual it is accepted on.  A full step's update as
+        # the start of a later system can meet 1e-12 of its small rhs
+        # in the recursive residual but not in the true one: a miss
         systems, _ = run_one_bulge(monkeypatch)
         assert len(systems) >= 5
         warm = [args[5] for args in systems if args[5] is not None]
         assert warm
+        misses = 0
         for args in systems:
-            system = newton_system(*args)
-            zero = np.zeros_like(system[1])
-            for start in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL),
-                          (zero, ustep.NEWTON_FIRST_RTOL),
-                          (zero, ustep.NEWTON_LINEAR_RTOL),
-                          (warm[0], ustep.NEWTON_FIRST_RTOL),
-                          (warm[-1], ustep.NEWTON_LINEAR_RTOL)):
-                x, iterations = ustep._krylov_solve(*system, *start)
-                ref, ref_iterations = scipy_krylov(*system, *start)
-                assert (x is None) == (ref is None)
-                assert x is None or np.array_equal(x, ref)
-                assert iterations == ref_iterations > 0
-                assert start[0] is None or start[0] is not x
+            schur, rhs, diagonal = newton_system(*args)
+            zero = np.zeros_like(rhs)
+            for x0, rtol in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL),
+                             (zero, ustep.NEWTON_FIRST_RTOL),
+                             (warm[0], ustep.NEWTON_FIRST_RTOL),
+                             (warm[-1], ustep.NEWTON_LINEAR_RTOL)):
+                products = RecordedProducts(schur)
+                x, iterations = ustep._krylov_solve(products, rhs, diagonal,
+                                                    x0, rtol)
+                start = x0 is not None and x0.any()
+                assert iterations > 0
+                assert len(products.vectors) - start - 1 in (
+                    2 * iterations - 1, 2 * iterations)
+                assert not start or np.array_equal(products.vectors[0], x0)
+                checked = products.vectors[-1]
+                assert (x is not None) == (np.linalg.norm(rhs - schur @ checked)
+                                           <= rtol * np.linalg.norm(rhs))
+                assert x is None or np.array_equal(x, checked)
+                assert x0 is None or x0 is not x
+                misses += x is None
             # the solver's own start always converges
-            assert ustep._krylov_solve(*system, *args[5:])[0] is not None
+            assert ustep._krylov_solve(schur, rhs, diagonal,
+                                       *args[5:])[0] is not None
+        assert misses >= 1
 
     def test_first_solve_of_a_step_is_warm_and_loose(self, monkeypatch):
         # the first solve of step n starts from u^(n-1) - u^(n-2), the
@@ -883,15 +872,17 @@ class TestNewtonLinearSolve:
         schur, rhs, diagonal = newton_system(*systems[0])
         rhs = scale * rhs / np.max(np.abs(rhs))
         x, iterations = ustep._krylov_solve(schur, rhs, diagonal)
-        ref, ref_iterations = scipy_krylov(schur, rhs, diagonal)
-        assert iterations == ref_iterations == 0
-        assert (x is None) == (ref is None) == (scale > 0.0)
-        assert x is None or np.array_equal(x, ref)
+        assert iterations == 0
+        assert (x is None) == (scale > 0.0)
+        assert x is None or not x.any()
 
     def test_krylov_loop_at_every_iteration_cap(self, monkeypatch):
-        # random sparse systems, capped where scipy stops and one earlier;
-        # a cap that ends the loop before its convergence test is a
-        # failure even when the true residual already meets the tolerance
+        # random sparse systems, capped one below the iterations ``full``
+        # of the uncapped solve and at them.  The lower cap misses.  A
+        # solve that passed the convergence test opening iteration
+        # ``full + 1`` made an even number of products before its true
+        # residual; a cap of ``full`` ends the loop before that test, and
+        # it misses even though the true residual meets the tolerance
         capped_at_convergence = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -899,15 +890,19 @@ class TestNewtonLinearSolve:
             a = (np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
                  + np.diag(rng.uniform(1.0, 2.0, n)))
             system = sp.csr_matrix(a), rng.normal(size=n), np.diag(a).copy()
-            _, full = scipy_krylov(*system)
+            products = RecordedProducts(system[0])
+            ref, full = ustep._krylov_solve(products, *system[1:])
+            assert ref is not None
+            opens_next = len(products.vectors) % 2 == 1
             for cap in (full - 1, full):
                 monkeypatch.setattr(ustep, "NEWTON_LINEAR_MAXITER", cap)
                 x, iterations = ustep._krylov_solve(*system)
-                ref, ref_iterations = scipy_krylov(*system)
-                assert iterations == ref_iterations
-                assert (x is None) == (ref is None)
-                assert x is None or np.array_equal(x, ref)
+                if cap < full or opens_next:
+                    assert x is None and iterations == cap
+                else:
+                    assert iterations == full and np.array_equal(x, ref)
                 capped_at_convergence += cap == full and x is None
+            monkeypatch.undo()
         assert capped_at_convergence >= 1
 
     def test_capped_krylov_loop_falls_back_to_lu(self, monkeypatch):

@@ -35,10 +35,10 @@ iterative solve misses its tolerance.  A Jacobi sweep
 ``J`` is an M-matrix whose columns sum to ``|K|/dt``, so the 1-norm of
 that map is ``q = max_K (1 - (|K|/dt) / J_KK)`` (Varga, Matrix Iterative
 Analysis, 1962), which the diagonal gives.  Where ``q`` is at most
-``vstep.JACOBI_RADIUS_MAX`` (a small ``dt``), Jacobi sweeps solve it,
-one matrix product each.  Otherwise (q nears 1 as ``dt`` grows), or
-where ``q`` is NaN, scipy's Jacobi-preconditioned BiCGSTAB does, two
-per iteration.
+``NEWTON_JACOBI_Q_MAX`` (small and moderate ``dt``), Jacobi sweeps
+solve it, one matrix product each.  Otherwise (q nears 1 as ``dt``
+grows), or where ``q`` is NaN, scipy's Jacobi-preconditioned BiCGSTAB
+does, two per iteration.
 
 The iterative solves are inexact Newton steps (Eisenstat & Walker, SIAM
 J. Sci. Comput. 17, 1996).  The first of a time step starts from the
@@ -46,11 +46,18 @@ last accepted update ``u^n - u^(n-1)`` and stops at
 ``NEWTON_FIRST_RTOL``; the later ones, and all of a step with no
 accepted update before it, start from zero and run to
 ``NEWTON_LINEAR_RTOL``.  Either path stops on the true residual,
-``|b - J x|_2 <= rtol |b|_2``.  Mass stays exact: the columns of ``J``
-sum to ``|K|/dt`` and the fluxes cancel in the sum of the rows, so the
-mass change of an iterate is ``dt`` times the sum of its nonlinear
-residual, which the stop test below bounds whatever the accuracy of the
-directions.
+``|b - J x|_2 <= max(rtol |b|_2, atol)``, where ``solve_u_step`` sets
+``atol`` to a quarter of the floor of the stop test below, taken from
+the mass term of its scale, ``4 * machine_eps * max_K |K| (|u_K| +
+|uold_K|) / dt``, and capped by ``dt * sqrt(n) * atol <= MASS_RTOL *
+mass_old / 8``.  No solve is driven below what that test can see (an
+inexact Newton method need not oversolve: Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 1982), and a residual at ``atol`` meets all of
+its conditions, so a solve stopped there never hands Newton a zero
+direction.  Mass stays exact: the columns of ``J`` sum to ``|K|/dt`` and
+the fluxes cancel in the sum of the rows, so the mass change of an
+iterate is ``dt`` times the sum of its nonlinear residual, which the
+stop test below bounds whatever the accuracy of the directions.
 
 Newton stops when the max norm ``rnorm`` of the mass-balance rows is at
 round-off, ``rnorm <= 16 * machine_eps * scale``, with ``scale`` the
@@ -80,7 +87,6 @@ import scipy.sparse.linalg as spla
 
 from .fields import _check_cellfield
 from .mesh import _index_dtype
-from .vstep import JACOBI_RADIUS_MAX
 
 _EPS = np.finfo(float).eps
 
@@ -93,7 +99,9 @@ CLAMP_REL = 1e-13
 MASS_RTOL = 1e-11
 
 #: Relative true residual the iterative solve of a Newton system must
-#: reach; a solve that misses it is repeated with a sparse LU
+#: reach, unless it meets the absolute target ``solve_u_step`` passes,
+#: a quarter of the round-off floor of the Newton stop test (module
+#: docstring); a solve that misses both is repeated with a sparse LU
 #: factorization.
 NEWTON_LINEAR_RTOL = 1e-12
 
@@ -101,6 +109,12 @@ NEWTON_LINEAR_RTOL = 1e-12
 #: step, the forcing term of an inexact Newton step (Eisenstat & Walker
 #: 1996).
 NEWTON_FIRST_RTOL = 1e-6
+
+#: Largest contraction ``q`` (module docstring) of a Newton system that
+#: Jacobi sweeps solve; BiCGSTAB solves the others.  On the recorded
+#: systems of the time-step sweep's presets, sweeps took less time than
+#: BiCGSTAB on every one with ``q <= 0.8`` and lost on some above (README).
+NEWTON_JACOBI_Q_MAX = 0.8
 
 #: Jacobi sweeps or BiCGSTAB iterations, by the path of the solve, after
 #: which a Newton system goes to the LU solve.
@@ -304,20 +318,21 @@ class NewtonOperator:
         data[self.lk] = -a_kk
         return diagonal
 
-    def direction(self, u, mu, r1, terms, x0=None, rtol=NEWTON_LINEAR_RTOL):
+    def direction(self, u, mu, r1, terms, x0=None, rtol=NEWTON_LINEAR_RTOL,
+                  atol=0.0):
         """Newton step ``J du = -r1`` at ``u``, ``mu(u)`` from ``x0``, to
-        ``rtol`` on the true residual: by Jacobi sweeps where their
-        1-norm contraction ``q`` (module docstring) is at most
-        ``JACOBI_RADIUS_MAX``, by Jacobi-preconditioned BiCGSTAB otherwise,
-        and by a sparse LU factorization when either misses ``rtol``.
+        ``max(rtol |r1|_2, atol)`` on the true residual: by Jacobi sweeps
+        where their 1-norm contraction ``q`` (module docstring) is at most
+        ``NEWTON_JACOBI_Q_MAX``, by Jacobi-preconditioned BiCGSTAB
+        otherwise, and by a sparse LU factorization when either misses.
 
         Returns ``(du, linear_iterations, lu_fallback)``, the iterations
         counted in sweeps or in BiCGSTAB iterations by the path taken.
         """
         diagonal, rhs = self.refill(u, terms), -r1
         q = 1.0 - np.min(self.mesh.areas / diagonal) / self.params.dt
-        solve = _jacobi_solve if q <= JACOBI_RADIUS_MAX else _krylov_solve
-        du, iterations = solve(self.schur, rhs, diagonal, x0, rtol)
+        solve = _jacobi_solve if q <= NEWTON_JACOBI_Q_MAX else _krylov_solve
+        du, iterations = solve(self.schur, rhs, diagonal, x0, rtol, atol)
         fallback = du is None
         if fallback:
             try:
@@ -329,15 +344,17 @@ class NewtonOperator:
         return du, iterations, fallback
 
 
-def _jacobi_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
+def _jacobi_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL,
+                  atol=0.0):
     """Jacobi sweeps ``x <- x + (rhs - schur @ x) / diagonal`` from ``x0``
     (zero when None); ``(x, sweeps)``, with ``x`` None unless the true
-    residual meets ``rtol * |rhs|`` within ``NEWTON_LINEAR_MAXITER``
-    sweeps.  The first sweep from zero is ``rhs / diagonal``."""
+    residual meets ``max(rtol * |rhs|, atol)`` within
+    ``NEWTON_LINEAR_MAXITER`` sweeps.  The first sweep from zero is
+    ``rhs / diagonal``."""
     bnorm = np.sqrt(np.dot(rhs, rhs))
     if bnorm == 0.0:
         return rhs, 0
-    atol, inverse = rtol * bnorm, 1.0 / diagonal
+    target, inverse = max(rtol * bnorm, atol), 1.0 / diagonal
     if x0 is None:
         x, r = np.zeros_like(rhs), rhs
     else:
@@ -345,16 +362,18 @@ def _jacobi_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
     for sweep in range(1, NEWTON_LINEAR_MAXITER + 1):
         x += inverse * r
         r = rhs - schur @ x
-        if np.sqrt(np.dot(r, r)) <= atol:
+        if np.sqrt(np.dot(r, r)) <= target:
             return x, sweep
     return None, NEWTON_LINEAR_MAXITER
 
 
-def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
+def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL,
+                  atol=0.0):
     """``scipy.sparse.linalg.bicgstab`` from ``x0`` (zero when None),
     preconditioned by ``1 / diagonal``; ``(x, iterations)``, with ``x``
-    None unless the true residual meets ``rtol * |rhs|``.  An iteration
-    applies the preconditioner twice, the last may stop after one."""
+    None unless the true residual meets ``max(rtol * |rhs|, atol)``.  An
+    iteration applies the preconditioner twice, the last may stop after
+    one."""
     inverse, applied = 1.0 / diagonal, [0]
 
     def precondition(r):
@@ -363,10 +382,10 @@ def _krylov_solve(schur, rhs, diagonal, x0=None, rtol=NEWTON_LINEAR_RTOL):
 
     jacobi = spla.LinearOperator(schur.shape, matvec=precondition,
                                  dtype=float)
-    x, info = spla.bicgstab(schur, rhs, x0=x0, rtol=rtol, atol=0.0,
+    x, info = spla.bicgstab(schur, rhs, x0=x0, rtol=rtol, atol=atol,
                             maxiter=NEWTON_LINEAR_MAXITER, M=jacobi)
     accepted = info == 0 and (np.linalg.norm(rhs - schur @ x)
-                              <= rtol * np.linalg.norm(rhs))
+                              <= max(rtol * np.linalg.norm(rhs), atol))
     return (x if accepted else None), (applied[0] + 1) // 2
 
 
@@ -419,6 +438,9 @@ def solve_u_step(operator, u_old, pi0v):
     rnorm, u, mu, r1, terms, lg = trial(u_old.copy())
     old_max = float(abs(u_old).max())
     mass_old = float(np.dot(mesh.areas, u_old))
+    # a linear residual r with |r|_2 at most this keeps dt |sum r| within
+    # a quarter of the mass condition of the stop test
+    mass_atol = MASS_RTOL * mass_old / (8.0 * params.dt * np.sqrt(len(u)))
     stats = NewtonStats(0, rnorm)
     while True:
         if not np.isfinite(rnorm):
@@ -440,10 +462,14 @@ def solve_u_step(operator, u_old, pi0v):
         # zero the loose solve can leave Newton short of round-off (three
         # bulges, mesh2 n=32, dt = 1e-2 stalls in 30 iterations)
         warm = stats.iterations == 0 and op.last_update is not None
+        # a quarter of the stop test's floor, from the mass term of its
+        # scale as roundoff_scale rounds it, within mass_atol
+        atol = min(4.0 * _EPS * float(np.max(
+            mesh.areas * (np.abs(u) + np.abs(u_old)))) / params.dt, mass_atol)
         try:
             du, linear, fallback = op.direction(
                 u, mu, r1, terms, op.last_update if warm else None,
-                NEWTON_FIRST_RTOL if warm else NEWTON_LINEAR_RTOL)
+                NEWTON_FIRST_RTOL if warm else NEWTON_LINEAR_RTOL, atol)
         except NewtonDivergenceError as exc:    # singular LU factorization
             exc.stats = stats
             raise

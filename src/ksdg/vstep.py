@@ -34,8 +34,8 @@ RESIDUAL_RTOL = 1e-12
 
 #: CG solves a step of Jacobi radius at most ``JACOBI_RADIUS_MAX`` to an
 #: entrywise error of ``V_TOL * max|v|`` within ``PCG_MAXITER`` iterations.
-#: The density step solves by Jacobi sweeps up to the same bound on their
-#: contraction (``ustep`` module docstring).
+#: The density step's Jacobi sweeps have a bound of their own,
+#: ``ustep.NEWTON_JACOBI_Q_MAX``.
 JACOBI_RADIUS_MAX = 0.5
 V_TOL = 1e-14
 PCG_MAXITER = 100

@@ -13,8 +13,7 @@ from ksdg import (ModelParams, NewtonDivergenceError, aupw_apply,
                   simulate, solve_u_step)
 from ksdg import simulation, ustep
 from ksdg.config import build_mesh, initial_fields, load_config
-from ksdg.ustep import NewtonOperator
-from ksdg.vstep import JACOBI_RADIUS_MAX
+from ksdg.ustep import NEWTON_JACOBI_Q_MAX, NewtonOperator
 from ksdg.fields import project_p1_to_p0
 
 from conftest import flip_edges
@@ -653,16 +652,16 @@ def one_bulge_setup():
 
 def run_one_bulge(monkeypatch):
     """Five steps of ``one_bulge`` on mesh1 n=16; returns the arguments
-    ``(operator, u, mu, r1, terms, x0, rtol)`` of every Newton direction
-    solved and the stats of every step."""
+    ``(operator, u, mu, r1, terms, x0, rtol, atol)`` of every Newton
+    direction solved and the stats of every step."""
     mesh, params, u0, v0 = one_bulge_setup()
     systems, stats = [], []
     direction = NewtonOperator.direction
     step = simulation.solve_u_step
 
-    def record_direction(op, u, mu, r1, terms, x0, rtol):
-        systems.append((op, u, mu, r1, terms, x0, rtol))
-        return direction(op, u, mu, r1, terms, x0, rtol)
+    def record_direction(op, u, mu, r1, terms, x0, rtol, atol):
+        systems.append((op, u, mu, r1, terms, x0, rtol, atol))
+        return direction(op, u, mu, r1, terms, x0, rtol, atol)
 
     def record_step(*args, **kwargs):
         out = step(*args, **kwargs)
@@ -701,7 +700,7 @@ def schur_oracle(mesh, u, mu, params):
 
 
 def lu_direction(op, u, mu, r1, terms, x0=None,
-                 rtol=ustep.NEWTON_LINEAR_RTOL):
+                 rtol=ustep.NEWTON_LINEAR_RTOL, atol=0.0):
     """Newton direction of the oracle matrix, solved by dense LU."""
     schur = schur_oracle(op.mesh, u, mu, op.params)
     return np.linalg.solve(schur, -r1), 0, True
@@ -709,7 +708,7 @@ def lu_direction(op, u, mu, r1, terms, x0=None,
 
 def newton_system(op, u, mu, r1, terms, *start):
     """Matrix, right-hand side and diagonal of a Newton direction; the
-    start ``(x0, rtol)`` of a recorded direction is dropped."""
+    start ``(x0, rtol, atol)`` of a recorded direction is dropped."""
     diagonal = op.refill(u, terms)
     return op.schur, -r1, diagonal
 
@@ -784,7 +783,7 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("solver,dt", [("_jacobi_solve", None),
                                            ("_krylov_solve", 1e-2)])
     def test_krylov_failure_falls_back_to_lu(self, monkeypatch, solver, dt):
-        # the default dt solves by Jacobi sweeps and dt = 1e-2 (q > 1/2) by
+        # the default dt solves by Jacobi sweeps and dt = 1e-2 (q > 0.8) by
         # BiCGSTAB; whichever runs misses, and LU solves every system
         mesh, params, u0, v0 = one_bulge_setup()
         if dt is not None:
@@ -819,13 +818,14 @@ class TestNewtonLinearSolve:
         for args in systems:
             schur, rhs, diagonal = newton_system(*args)
             zero = np.zeros_like(rhs)
-            for x0, rtol in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL),
-                             (zero, ustep.NEWTON_FIRST_RTOL),
-                             (warm[0], ustep.NEWTON_FIRST_RTOL),
-                             (warm[-1], ustep.NEWTON_LINEAR_RTOL)):
+            for x0, rtol, atol in (args[5:],
+                                   (None, ustep.NEWTON_LINEAR_RTOL, 0.0),
+                                   (zero, ustep.NEWTON_FIRST_RTOL, 0.0),
+                                   (warm[0], ustep.NEWTON_FIRST_RTOL, 0.0),
+                                   (warm[-1], ustep.NEWTON_LINEAR_RTOL, 0.0)):
                 products = RecordedProducts(schur)
                 x, iterations = ustep._krylov_solve(products, rhs, diagonal,
-                                                    x0, rtol)
+                                                    x0, rtol, atol)
                 start = x0 is not None and x0.any()
                 assert iterations > 0
                 assert len(products.vectors) - start - 1 in (
@@ -833,7 +833,8 @@ class TestNewtonLinearSolve:
                 assert not start or np.array_equal(products.vectors[0], x0)
                 checked = products.vectors[-1]
                 assert (x is not None) == (np.linalg.norm(rhs - schur @ checked)
-                                           <= rtol * np.linalg.norm(rhs))
+                                           <= max(rtol * np.linalg.norm(rhs),
+                                                  atol))
                 assert x is None or np.array_equal(x, checked)
                 assert x0 is None or x0 is not x
                 misses += x is None
@@ -853,7 +854,7 @@ class TestNewtonLinearSolve:
         for n, s in enumerate(stats, start=1):
             step = systems[start:start + s.iterations]
             start += s.iterations
-            (*_, x0, rtol), later = step[0], step[1:]
+            (*_, x0, rtol, _), later = step[0], step[1:]
             if n == 1:
                 assert x0 is None and rtol == ustep.NEWTON_LINEAR_RTOL
             else:
@@ -920,12 +921,13 @@ class TestNewtonLinearSolve:
     def test_solver_counts_at_seed_0(self, monkeypatch):
         # Newton iterations, linear iterations and LU fallbacks of the five
         # steps, pinned; every system of this run has q <= 1/2, so the
-        # linear iterations are Jacobi sweeps.  The bench configs' totals
-        # are in CHANGES.md
+        # linear iterations are Jacobi sweeps, each solve stopped at the
+        # target solve_u_step passes.  The bench configs' totals are in
+        # CHANGES.md
         _, stats = run_one_bulge(monkeypatch)
         assert (sum(s.iterations for s in stats),
                 sum(s.linear_iterations for s in stats),
-                sum(s.lu_fallbacks for s in stats)) == (10, 64, 0)
+                sum(s.lu_fallbacks for s in stats)) == (10, 59, 0)
 
     def test_jacobi_sweep_contracts_the_residual_by_q(self, monkeypatch):
         # a sweep maps the residual by (D - J) D^-1, whose 1-norm is q.  The
@@ -937,11 +939,11 @@ class TestNewtonLinearSolve:
         for args in systems:
             schur, rhs, diagonal = newton_system(*args)
             q = jacobi_contraction(args[0], diagonal)
-            assert 0.0 < q <= JACOBI_RADIUS_MAX
-            for x0, rtol in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL)):
+            assert 0.0 < q <= 0.5
+            for x0, *tols in (args[5:], (None, ustep.NEWTON_LINEAR_RTOL)):
                 products = RecordedProducts(schur)
                 x, sweeps = ustep._jacobi_solve(products, rhs, diagonal, x0,
-                                                rtol)
+                                                *tols)
                 iterates = ([np.zeros_like(rhs)] if x0 is None else []
                             ) + products.vectors
                 assert x is not None and sweeps == len(iterates) - 1
@@ -975,21 +977,142 @@ class TestNewtonLinearSolve:
         x, sweeps = ustep._jacobi_solve(schur, zero, diagonal, rhs)
         assert sweeps == 0 and np.array_equal(x, zero)
 
+    @pytest.mark.parametrize("solver", ["_jacobi_solve", "_krylov_solve"])
+    def test_iterative_solves_stop_at_the_absolute_target(self, monkeypatch,
+                                                          solver):
+        # an atol above rtol |b| stops either path, from zero, on a true
+        # residual within it and in fewer iterations than rtol alone; the
+        # sweeps stop at the first iterate within the target, and by
+        # |r_k|_2 <= q^k sqrt(n) |b|_2 within ceil(log(target / (sqrt(n)
+        # |b|)) / log q) + 1 sweeps.  atol = 0 keeps the rtol stop: the
+        # same sweeps, and the same result as a direct scipy call
+        # with atol = 0
+        systems, _ = run_one_bulge(monkeypatch)
+        solve, rtol = getattr(ustep, solver), ustep.NEWTON_LINEAR_RTOL
+        for args in systems:
+            schur, rhs, diagonal = newton_system(*args)
+            bnorm, n = np.linalg.norm(rhs), len(rhs)
+            q = jacobi_contraction(args[0], diagonal)
+            ref, ref_iterations = solve(schur, rhs, diagonal, None, rtol)
+            if solver == "_krylov_solve":
+                inverse = 1.0 / diagonal
+                jacobi = spla.LinearOperator(schur.shape, dtype=float,
+                                             matvec=lambda r: inverse * r)
+                direct, info = spla.bicgstab(
+                    schur, rhs, rtol=rtol, atol=0.0, M=jacobi,
+                    maxiter=ustep.NEWTON_LINEAR_MAXITER)
+                assert info == 0 and np.array_equal(ref, direct)
+            for atol in (0.0, 1e-9 * bnorm, 1e-6 * bnorm):
+                products = RecordedProducts(schur)
+                x, iterations = solve(products, rhs, diagonal, None, rtol,
+                                      atol)
+                target = max(rtol * bnorm, atol)
+                assert x is not None and 0 < iterations <= ref_iterations
+                assert np.linalg.norm(rhs - schur @ x) <= target
+                if atol == 0.0:
+                    assert np.array_equal(x, ref)
+                    assert iterations == ref_iterations
+                else:
+                    assert iterations < ref_iterations
+                if solver == "_jacobi_solve":
+                    assert iterations <= math.ceil(
+                        math.log(target / (math.sqrt(n) * bnorm))
+                        / math.log(q)) + 1
+                    norms = [np.linalg.norm(rhs - schur @ xk)
+                             for xk in products.vectors]
+                    assert len(norms) == iterations
+                    assert all(norm > target for norm in norms[:-1])
+
+    @pytest.mark.parametrize("mass_rtol,capped", [(ustep.MASS_RTOL, False),
+                                                  (5e-15, True)])
+    def test_solve_target_meets_the_stop_test(self, monkeypatch, mass_rtol,
+                                              capped):
+        # solve_u_step passes atol = min(4 eps max_K |K| (|u_K| + |uold_K|)
+        # / dt, MASS_RTOL mass_old / (8 dt sqrt(n))): a quarter of the stop
+        # test's floor from the mass term of its scale, capped for its mass
+        # condition.  A residual of 2-norm atol, all in one row or spread
+        # evenly, meets every stop condition at the iterate atol was taken
+        # at, so Newton never hands a solve a right-hand side that it may
+        # meet with a zero direction.  At MASS_RTOL = 5e-15 the cap binds
+        mesh, params, u0, v0 = one_bulge_setup()
+        direction, step = NewtonOperator.direction, simulation.solve_u_step
+        current, targets = [], []
+
+        def record_step(op, u_old, pi0v):
+            current[:] = [u_old]
+            return step(op, u_old, pi0v)
+
+        def record_direction(op, u, mu, r1, terms, x0, rtol, atol):
+            targets.append((op, u, mu, terms, current[0], atol))
+            return direction(op, u, mu, r1, terms, x0, rtol, atol)
+
+        monkeypatch.setattr(ustep, "MASS_RTOL", mass_rtol)
+        monkeypatch.setattr(NewtonOperator, "direction", record_direction)
+        monkeypatch.setattr(simulation, "solve_u_step", record_step)
+        for _ in simulate(mesh, params, u0, v0):
+            pass
+        assert len(targets) == 10
+        dt, n, eps = params.dt, mesh.n_cells, ustep._EPS
+        for op, u, mu, terms, u_old, atol in targets:
+            mass_old = float(np.dot(mesh.areas, u_old))
+            floor = 4 * eps * float(np.max(
+                mesh.areas * (np.abs(u) + np.abs(u_old)))) / dt
+            cap = mass_rtol * mass_old / (8 * dt * math.sqrt(n))
+            assert (cap < floor) == capped
+            assert atol == min(floor, cap) > 0.0
+            one_row = np.zeros(n)
+            one_row[np.argmax(np.abs(u))] = atol
+            for r in (one_row, np.full(n, atol / math.sqrt(n))):
+                rnorm = float(np.max(np.abs(r)))
+                assert rnorm <= 32 * eps * op.roundoff_bound(
+                    u, float(np.max(np.abs(u_old))), mu)
+                assert rnorm <= 16 * eps * op.roundoff_scale(u, u_old, terms)
+                assert dt * abs(r.sum()) <= 0.5 * mass_rtol * mass_old
+
+    @pytest.mark.parametrize("dt,solver", [(1e-5, "_jacobi_solve"),
+                                           (3.4e-5, "_jacobi_solve"),
+                                           (3.5e-5, "_krylov_solve")])
+    def test_contraction_bound_picks_the_solver(self, monkeypatch, dt,
+                                                solver):
+        # sweeps solve the systems with 1/2 < q <= 0.8 (q = 0.54 at dt =
+        # 1e-5, 0.797 at 3.4e-5), and BiCGSTAB those just above 0.8 (0.802
+        # at 3.5e-5); the other path is removed
+        mesh, params, u0, v0 = one_bulge_setup()
+        params = dataclasses.replace(params, dt=dt, t_end=dt)
+        direction, contractions = NewtonOperator.direction, []
+
+        def record(op, *args):
+            out = direction(op, *args)
+            contractions.append(jacobi_contraction(op, op.schur.diagonal()))
+            return out
+
+        other = ({"_jacobi_solve", "_krylov_solve"} - {solver}).pop()
+        monkeypatch.setattr(NewtonOperator, "direction", record)
+        monkeypatch.setattr(ustep, other, None)
+        _, _, stats = u_step(mesh, u0, v0, params)
+        assert stats.lu_fallbacks == 0
+        assert len(contractions) == stats.iterations > 0
+        for q in contractions:
+            if solver == "_jacobi_solve":
+                assert 0.5 < q <= NEWTON_JACOBI_Q_MAX
+            else:
+                assert NEWTON_JACOBI_Q_MAX < q < 0.81
+
     def test_large_dt_systems_take_bicgstab(self, monkeypatch):
         # at dt = 1e-2 the mass term is small against the fluxes and q is
-        # near 1, too slow a contraction for sweeps: every Newton system
-        # is solved by BiCGSTAB, bit for bit as a direct call, or by LU
-        # where that call misses
+        # near 1, above 0.8, too slow a contraction for sweeps: every Newton
+        # system is solved by BiCGSTAB, bit for bit as a direct call with
+        # the same tolerances, or by LU where that call misses
         mesh, params, u0, v0 = one_bulge_setup()
         params = dataclasses.replace(params, dt=1e-2, t_end=1e-2)
         direction, solves = NewtonOperator.direction, []
 
-        def check(op, u, mu, r1, terms, x0, rtol):
-            out = direction(op, u, mu, r1, terms, x0, rtol)
+        def check(op, u, mu, r1, terms, x0, rtol, atol):
+            out = direction(op, u, mu, r1, terms, x0, rtol, atol)
             diagonal = op.schur.diagonal()
             solves.append((jacobi_contraction(op, diagonal), out,
                            ustep._krylov_solve(op.schur, -r1, diagonal, x0,
-                                               rtol)))
+                                               rtol, atol)))
             return out
 
         monkeypatch.setattr(NewtonOperator, "direction", check)
@@ -997,15 +1120,15 @@ class TestNewtonLinearSolve:
         _, _, stats = u_step(mesh, u0, v0, params)
         # Newton iterations, BiCGSTAB iterations and LU fallbacks, pinned
         assert (stats.iterations, stats.linear_iterations,
-                stats.lu_fallbacks) == (6, 243, 1)
+                stats.lu_fallbacks) == (6, 207, 0)
         assert any(ref is not None for *_, (ref, _) in solves)
         for q, (du, iterations, fallback), (ref, ref_iterations) in solves:
-            assert q > JACOBI_RADIUS_MAX and iterations == ref_iterations
+            assert q > NEWTON_JACOBI_Q_MAX and iterations == ref_iterations
             assert fallback == (ref is None)
             assert fallback or np.array_equal(du, ref)
 
     def test_nan_contraction_takes_bicgstab(self, monkeypatch):
-        # a NaN q bounds nothing: BiCGSTAB solves, as above 1/2
+        # a NaN q bounds nothing: BiCGSTAB solves, as above 0.8
         systems, _ = run_one_bulge(monkeypatch)
         op, u, mu, r1, terms, *_ = systems[0]
         schur, rhs, diagonal = newton_system(*systems[0])
